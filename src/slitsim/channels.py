@@ -97,7 +97,10 @@ def uniform_dephasing_channel(d: int, p: float) -> WeightedKrausSet:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if d * p / 4.0 > 1.0 + WEIGHT_TOL:
-        raise ValueError(f"uniform weight p/4 is infeasible for d={d}, p={p}")
+        raise ValueError(
+            f"p = {p} is not realizable at d = {d}: the uniform sign-flip weight p/4 "
+            f"needs p <= 4/d = {4.0 / d:.6g}"
+        )
     return dephasing_channel(d, [p / 4.0] * d)
 
 

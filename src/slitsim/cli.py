@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import datasets, fileio, reports
-from .channels import apply_channel, dephasing_channel, dephasing_closed_form
+from .channels import apply_channel, dephasing_closed_form, uniform_dephasing_channel
 from .dynamics import (
     DampingModel,
     TrajectoryConfig,
@@ -64,13 +64,11 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_dephase(args) -> int:
-    if not 0.0 <= args.p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {args.p}")
     state = fileio.parse_state(fileio.read_text(args.state))
     rho = anti_correlated_block(state) if isinstance(state, PureBipartiteState) else state
-    weights = [args.p / 4.0] * rho.dim
-    out = dephasing_closed_form(rho, weights)
-    cross = apply_channel(dephasing_channel(rho.dim, weights), rho)
+    chan = uniform_dephasing_channel(rho.dim, args.p)
+    out = dephasing_closed_form(rho, chan.weights[:-1])  # the last weight is the identity's
+    cross = apply_channel(chan, rho)
     off = ~np.eye(rho.dim, dtype=bool)
     expected = (1.0 - args.p) * rho.matrix[off]
     dev = float(np.max(np.abs(out.matrix[off] - expected))) if off.any() else 0.0

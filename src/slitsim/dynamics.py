@@ -25,6 +25,9 @@ from .rng import derive_rng
 # jump/no-jump split valid.
 STEP_PROBABILITY_BOUND = 1e-2
 
+# Largest block of per-trajectory uniforms that run_trajectories holds at once.
+_UNIFORM_BLOCK_BYTES = 8 * 2**20
+
 AMPLITUDE = "amplitude"
 POPULATION = "population"
 _CONVENTION_ALIASES = {
@@ -127,16 +130,23 @@ def lindblad_rhs(model: LindbladModel, rho: DensityMatrix) -> ComplexOperator:
     """d(rho)/dt: commutator part plus dissipators; traceless and Hermitian."""
     if model.dim != rho.dim:
         raise ValueError("dimension mismatch")
-    return ComplexOperator(_rhs_raw(model, rho.matrix))
+    return ComplexOperator(_rhs_raw(model.hamiltonian.matrix, _dissipators(model), rho.matrix))
 
 
-def _rhs_raw(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    h = model.hamiltonian.matrix
-    out = -1j * (h @ rho - rho @ h)
+def _dissipators(model: LindbladModel) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """(rate, a, a+, a+ a) for every Lindblad operator, built once per integration."""
+    terms = []
     for op, g in model.lindblad_ops:
         a = op.matrix
-        ada = a.conj().T @ a
-        out = out + g * (a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada))
+        a_dag = a.conj().T
+        terms.append((g, a, a_dag, a_dag @ a))
+    return terms
+
+
+def _rhs_raw(h: np.ndarray, dissipators, rho: np.ndarray) -> np.ndarray:
+    out = -1j * (h @ rho - rho @ h)
+    for g, a, a_dag, ada in dissipators:
+        out = out + g * (a @ rho @ a_dag - 0.5 * (ada @ rho + rho @ ada))
     return out
 
 
@@ -151,12 +161,14 @@ def integrate_master(model: LindbladModel, rho0: DensityMatrix, t: float, dt: fl
         return rho0
     steps = max(1, int(np.ceil(t / dt - 1e-12)))
     h = t / steps
+    ham = model.hamiltonian.matrix
+    terms = _dissipators(model)
     r = rho0.matrix.copy()
     for _ in range(steps):
-        k1 = _rhs_raw(model, r)
-        k2 = _rhs_raw(model, r + 0.5 * h * k1)
-        k3 = _rhs_raw(model, r + 0.5 * h * k2)
-        k4 = _rhs_raw(model, r + h * k3)
+        k1 = _rhs_raw(ham, terms, r)
+        k2 = _rhs_raw(ham, terms, r + 0.5 * h * k1)
+        k3 = _rhs_raw(ham, terms, r + 0.5 * h * k2)
+        k4 = _rhs_raw(ham, terms, r + h * k3)
         r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # re-validation doubles as the dt-too-large signal
     return DensityMatrix(0.5 * (r + r.conj().T))
@@ -191,12 +203,69 @@ def jump_step(model: DampingModel, psi: np.ndarray) -> np.ndarray:
     return lowered / norm
 
 
+def _class_states(v0: np.ndarray, gamma_h: float, jumps: int, calm: np.ndarray) -> np.ndarray:
+    """Normalized a^j exp(-gamma h N q) v0 for j = ``jumps`` and each q in ``calm``.
+
+    This is the state of every trajectory that took j jumps and q jump-free
+    steps, in any order: exp(-gamma h N) a = exp(gamma h) a exp(-gamma h N).
+    Exponents are measured from the lowest populated level, so the weights
+    of higher levels may underflow to zero but the state never becomes 0/0.
+    """
+    d = v0.shape[0]
+    low = jumps + np.flatnonzero(v0[jumps:])[0]
+    src = np.arange(low, d)
+    # a^j |l> = sqrt(l! / (l - j)!) |l - j>
+    lowered = v0[low:] * np.sqrt(np.prod(src[:, None] - np.arange(jumps, dtype=float), axis=1))
+    states = np.zeros((len(calm), d), dtype=np.complex128)
+    states[:, src - jumps] = lowered * np.exp(-gamma_h * np.outer(calm, src - low))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def _jump_counts(dp: np.ndarray, seed: int, n: int) -> np.ndarray:
+    """Jumps taken by trajectories 0..n-1 under the first-order step rule.
+
+    Trajectory k with j jumps so far jumps at step s iff u[k, s] < dp[j, s],
+    where u[k] = derive_rng(seed, k).random(steps).  The uniforms are drawn
+    in blocks of whole trajectories of at most _UNIFORM_BLOCK_BYTES; within a
+    block, each jump level is one vectorized search for the first hit after
+    the step at which the trajectory reached that level.
+    """
+    max_jumps, steps = dp.shape
+    rows = max(1, _UNIFORM_BLOCK_BYTES // (8 * steps))
+    buf = np.empty((min(rows, n), steps))
+    cols = np.arange(steps)
+    counts = np.zeros(n, dtype=np.intp)
+    for lo in range(0, n, rows):
+        u = buf[: min(rows, n - lo)]
+        for i, row in enumerate(u):
+            derive_rng(seed, lo + i).random(out=row)
+        live = np.arange(len(u))
+        start = np.zeros(len(u), dtype=np.intp)
+        for j in range(max_jumps):
+            hits = (u[live] < dp[j]) & (cols >= start[:, None])
+            first = hits.argmax(axis=1)
+            jumped = hits[np.arange(len(live)), first]
+            live, start = live[jumped], first[jumped] + 1
+            counts[lo + live] += 1
+            if not live.size:
+                break
+    return counts
+
+
 def run_trajectories(model: DampingModel, psi0: np.ndarray, t: float, cfg: TrajectoryConfig) -> DensityMatrix:
     """Ensemble average of |psi><psi| over stochastic jump/no-jump unravelings.
 
     Trajectory k draws its uniforms from the stream (seed, k), so the result
     is reproducible and independent of evaluation order.  The jump decision
     per step is first order: jump iff u < dp with dp = 2 gamma <a+ a> dt.
+
+    With H = 0 and the single jump operator a, a trajectory's state after s
+    steps with j jumps is normalize(a^j exp(-gamma h N (s - j)) psi0),
+    whatever the order of its jumps.  So dp is tabulated once per (j, s),
+    each trajectory is reduced to its jump count, and the ensemble is
+    averaged over the final state of each count.  The uniforms are held for
+    a bounded block of trajectories at a time, so memory does not grow with
+    n_trajectories * steps.
     """
     v0 = np.asarray(psi0, dtype=np.complex128)
     if v0.shape != (model.dim,):
@@ -213,30 +282,23 @@ def run_trajectories(model: DampingModel, psi0: np.ndarray, t: float, cfg: Traje
 
     steps = max(1, int(np.ceil(t / cfg.dt - 1e-12)))
     h = t / steps
-    n = cfg.n_trajectories
+    gamma_h = model.gamma * h
     levels = np.arange(model.dim, dtype=float)
-    decay = np.exp(-model.gamma * h * levels)
-    sqrt_n = np.sqrt(levels)
+    # each jump lowers the highest populated level by one
+    max_jumps = int(np.flatnonzero(v0)[-1])
 
-    uniforms = np.empty((n, steps))
-    for k in range(n):
-        uniforms[k] = derive_rng(cfg.seed, k).random(steps)
+    dp = np.zeros((max_jumps, steps))
+    for j in range(max_jumps):
+        n_mean = np.abs(_class_states(v0, gamma_h, j, np.arange(steps - j))) ** 2 @ levels
+        dp[j, j:] = 2.0 * model.gamma * h * n_mean
+    counts = _jump_counts(dp, cfg.seed, cfg.n_trajectories)
 
-    psi = np.tile(v0, (n, 1))
-    for s in range(steps):
-        n_mean = np.abs(psi) ** 2 @ levels
-        dp = 2.0 * model.gamma * h * n_mean
-        jumped = uniforms[:, s] < dp
-        if jumped.any():
-            block = psi[jumped]
-            lowered = np.zeros_like(block)
-            lowered[:, :-1] = block[:, 1:] * sqrt_n[1:]
-            psi[jumped] = lowered / np.linalg.norm(lowered, axis=1, keepdims=True)
-        calm = ~jumped
-        block = psi[calm] * decay
-        psi[calm] = block / np.linalg.norm(block, axis=1, keepdims=True)
-
-    rho = np.einsum("ki,kj->ij", psi, psi.conj()) / n
+    # a count above steps never occurs; clamping q keeps its unused row finite
+    final = np.concatenate(
+        [_class_states(v0, gamma_h, j, np.array([max(steps - j, 0)])) for j in range(max_jumps + 1)]
+    )
+    psi = final[counts]
+    rho = np.einsum("ki,kj->ij", psi, psi.conj()) / cfg.n_trajectories
     return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 

@@ -81,6 +81,8 @@ def parse_state(text: str) -> PureBipartiteState | DensityMatrix:
         if len(parts) != 4:
             raise ValueError(f"bad entry line {line!r}")
         r, c = int(parts[0]), int(parts[1])
+        if not (0 <= r < shape[0] and 0 <= c < shape[1]):
+            raise ValueError(f"entry ({r}, {c}) lies outside the {shape[0]}x{shape[1]} matrix")
         matrix[r, c] = float(parts[2]) + 1j * float(parts[3])
     if kind == "pure":
         return PureBipartiteState(matrix)
@@ -195,6 +197,9 @@ def parse_scan(text: str) -> tuple[PatternScan, OpticalGeometry]:
             raise ValueError(f"bad sample line {line!r}")
         positions.append(float(parts[0]))
         counts.append(float(parts[1]))
+    for key in ("fixed_arm", "fixed_position_mm", *(k for k, _ in _GEOM_KEYS)):
+        if key not in header:
+            raise ValueError(f"scan file is missing header key {key!r}")
     geom = OpticalGeometry(**{attr: float(header[key]) for key, attr in _GEOM_KEYS})
     p_true = float(header["p_true"]) if "p_true" in header else None
     scan = PatternScan(

@@ -70,6 +70,45 @@ def test_dephase_rejects_bad_p(tmp_path):
     assert run("dephase", "--state", state, "--p", 1.5, "--out", tmp_path / "r.txt") == 1
 
 
+def test_dephase_names_unrealizable_p(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    run("prepare", "--d", 5, "--uniform", "--out", state)
+    capsys.readouterr()
+    assert run("dephase", "--state", state, "--p", 0.9, "--out", tmp_path / "r.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "not realizable at d = 5" in err[0] and "4/d = 0.8" in err[0]
+    assert not (tmp_path / "r.txt").exists()
+    # the bound itself is realizable
+    assert run("dephase", "--state", state, "--p", 0.8, "--out", tmp_path / "r.txt") == 0
+
+
+@pytest.mark.parametrize("entries", [
+    "kind density\ndims 2\n5 0 1.0 0.0\n",
+    "kind density\ndims 2\n-1 0 1.0 0.0\n",
+    "kind pure\ndims 2 2\n0 2 1.0 0.0\n",
+])
+def test_state_entry_outside_dims_is_an_error(tmp_path, capsys, entries):
+    state = tmp_path / "state.txt"
+    state.write_text(entries)
+    assert run("dephase", "--state", state, "--p", 0.5, "--out", tmp_path / "r.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "outside" in err[0]
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("key", ["fixed_arm", "fixed_position_mm", "wavelength_mm", "beta"])
+def test_scan_missing_header_key_is_an_error(tmp_path, capsys, key):
+    scan = tmp_path / "scan.txt"
+    assert run("pattern", "--p", 0.25, "--noiseless", "--points", 9, "--out", scan) == 0
+    kept = [l for l in scan.read_text().splitlines() if l.split()[0] != key]
+    scan.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    assert run("fit-p", "--scan", scan) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
+
+
 def test_film_smallest_step(tmp_path, capsys):
     out = tmp_path / "film.txt"
     assert run("film", "--d", 4, "--p", 0.125, "--out", out) == 0

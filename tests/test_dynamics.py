@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_schmidt_qutrit
+from slitsim import dynamics
 from slitsim.dynamics import (
     DampingModel,
     LindbladModel,
@@ -20,6 +21,7 @@ from slitsim.dynamics import (
     run_trajectories,
 )
 from slitsim.qcore import ComplexOperator, DensityMatrix, PureBipartiteState, trace_distance
+from slitsim.rng import derive_rng
 
 
 def anti_diagonal_state(amps) -> PureBipartiteState:
@@ -178,6 +180,94 @@ def test_trajectory_config_validation():
     model = DampingModel(3, 1.0)
     with pytest.raises(ValueError):
         run_trajectories(model, np.array([0, 0, 1.0]), 1.0, TrajectoryConfig(10, 0.1, 1))
+
+
+def oracle_trajectories(model, psi0, t, cfg):
+    """Literal per-trajectory loop over the public step maps and streams.
+
+    Returns the running ensemble averages after 1..n trajectories, and the
+    jump count of every trajectory.
+    """
+    steps = max(1, int(np.ceil(t / cfg.dt - 1e-12)))
+    h = t / steps
+    levels = np.arange(model.dim)
+    v0 = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
+    total = np.zeros((model.dim, model.dim), dtype=complex)
+    averages, counts = [], []
+    for k in range(cfg.n_trajectories):
+        u = derive_rng(cfg.seed, k).random(steps)
+        psi, jumps = v0, 0
+        for s in range(steps):
+            if u[s] < 2.0 * model.gamma * h * (np.abs(psi) ** 2 @ levels):
+                psi, jumps = jump_step(model, psi), jumps + 1
+            else:
+                psi, _ = no_jump_step(model, psi, h)
+        total += np.outer(psi, psi.conj())
+        averages.append(total / (k + 1))
+        counts.append(jumps)
+    return averages, counts
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["basis", "superposition"])
+@pytest.mark.parametrize("gamma, t, dt_scale", [(1.0, 0.5, 1.0), (2.5, 0.3, 0.5), (0.4, 1.5, 0.7)])
+def test_trajectories_match_per_trajectory_oracle(dim, kind, gamma, t, dt_scale):
+    model = DampingModel(dim, gamma)
+    if kind == "basis":
+        psi0 = np.zeros(dim, dtype=complex)
+        psi0[-1] = 1.0
+    else:
+        rng = np.random.default_rng(dim)
+        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    dt = dt_scale * 1e-2 / (2.0 * gamma * dim)
+    n, seed = 6, 17 * dim + 3
+    averages, counts = oracle_trajectories(model, psi0, t, TrajectoryConfig(n, dt, seed))
+    assert any(counts), "no trajectory jumped; the case does not exercise the chain"
+    # a prefix of m trajectories must reproduce the oracle's first m final states
+    for m in range(1, n + 1):
+        rho = run_trajectories(model, psi0, t, TrajectoryConfig(m, dt, seed)).matrix
+        assert np.max(np.abs(rho - averages[m - 1])) < 1e-12
+
+
+def test_trajectories_match_stepwise_ensemble():
+    # enough trajectories that a jump rule off by one step changes some decisions
+    dim, gamma, t = 4, 1.0, 1.0
+    model = DampingModel(dim, gamma)
+    psi0 = np.array([1.0, 1.0j, 1.0, 1.0]) / 2.0
+    cfg = TrajectoryConfig(2000, 1e-2 / (2.0 * gamma * dim), seed=21)
+    steps = int(np.ceil(t / cfg.dt - 1e-12))
+    h = t / steps
+    u = np.array([derive_rng(cfg.seed, k).random(steps) for k in range(cfg.n_trajectories)])
+    a = annihilation(dim).matrix
+    decay = np.exp(-gamma * h * np.arange(dim))
+    psi = np.tile(psi0, (cfg.n_trajectories, 1))
+    for s in range(steps):
+        jumped = u[:, s] < 2.0 * gamma * h * (np.abs(psi) ** 2 @ np.arange(dim))
+        psi = np.where(jumped[:, None], psi @ a.T, psi * decay)
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    expect = psi.T @ psi.conj() / cfg.n_trajectories
+    rho = run_trajectories(model, psi0, t, cfg).matrix
+    assert np.max(np.abs(rho - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma_t", [200.0, 1000.0])
+@pytest.mark.parametrize("psi0", [[0.0, 1.0], [0.6, 0.8]])
+def test_trajectories_at_large_gamma_t_reach_the_ground_state(gamma_t, psi0):
+    # exp(-2 gamma t) underflows here; the class states must not become 0/0
+    model = DampingModel(2, 1.0)
+    rho = run_trajectories(model, np.array(psi0, dtype=complex), gamma_t, TrajectoryConfig(10, 2.5e-3, seed=4))
+    assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), rtol=0.0, atol=1e-15)
+
+
+def test_trajectories_do_not_depend_on_the_uniform_block_size(monkeypatch):
+    model = DampingModel(4, 1.2)
+    psi0 = np.array([0.1, 0.5j, 0.3, 0.8], dtype=complex)
+    cfg = TrajectoryConfig(257, 1e-3, seed=11)
+    whole = run_trajectories(model, psi0, 0.8, cfg)
+    # one 800-step trajectory per block, then blocks of 3 trajectories
+    for block_bytes in (1, 3 * 8 * 800):
+        monkeypatch.setattr(dynamics, "_UNIFORM_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(run_trajectories(model, psi0, 0.8, cfg).matrix, whole.matrix)
 
 
 def test_no_jump_conditional_state_examples():
