@@ -47,7 +47,6 @@ from .optics import (
     OpticalGeometry,
     PatternScan,
     fit_p,
-    fit_p_joint,
     fringe_period,
     pattern_intensity,
     synthesize_scan,

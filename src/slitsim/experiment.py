@@ -134,6 +134,9 @@ class CountsTable:
     metadata: str | None = None
 
     def __post_init__(self):
+        # summed in Python integers: int64 casts and sums wrap silently
+        if sum(abs(v) for v in np.asarray(self.counts).ravel().tolist()) >= 2**63:
+            raise ValueError("counts overflow int64: entries and their total must stay below 2^63")
         c = np.array(self.counts, dtype=np.int64)
         if c.ndim != 2 or min(c.shape) < 1:
             raise ValueError("counts must form a 2-d grid")
@@ -141,6 +144,8 @@ class CountsTable:
             raise ValueError("counts must be non-negative")
         if c.sum() == 0:
             raise ValueError("counts table needs at least one positive entry")
+        if self.gamma_t is not None and not math.isfinite(self.gamma_t):
+            raise ValueError(f"gamma_t must be finite, got {self.gamma_t}")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 

@@ -16,6 +16,10 @@ from .optics import OpticalGeometry, PatternScan
 from .qcore import DensityMatrix, PureBipartiteState
 
 
+# 16 MiB of complex entries, far beyond any slit state: a 'dims' typo must not exhaust memory
+_MAX_STATE_ENTRIES = 1 << 20
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -75,6 +79,8 @@ def parse_state(text: str) -> PureBipartiteState | DensityMatrix:
         shape = (dims[0], dims[0])
     else:
         raise ValueError(f"unknown state kind {kind!r}")
+    if min(shape) < 1 or shape[0] * shape[1] > _MAX_STATE_ENTRIES:
+        raise ValueError(f"state dims must be positive with at most {_MAX_STATE_ENTRIES} entries")
     matrix = np.zeros(shape, dtype=np.complex128)
     for line in lines[2:]:
         parts = line.split()

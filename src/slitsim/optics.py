@@ -15,7 +15,6 @@ through the fringe visibilities, which is what the fit exploits.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,8 +25,6 @@ from .rng import derive_rng
 
 MIN_SCAN_SAMPLES = 8
 SIGMA_FLOOR = 1e-6
-_GRID_POINTS = 101
-_REFINE_TOL = 1e-9
 
 
 class DegenerateScanError(ValueError):
@@ -48,8 +45,8 @@ class OpticalGeometry:
     def __post_init__(self):
         for name in ("wavelength", "half_slit_width", "slit_separation",
                      "focal_length", "half_detector_width", "beta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if 2.0 * self.half_slit_width >= self.slit_separation:
             raise ValueError("slit width must be smaller than the slit separation")
 
@@ -117,24 +114,20 @@ def pattern_intensity(
     x_s,
     scale: float = 1.0,
 ):
-    """Conditional coincidence rate at (x_i, x_s); clamped at zero.
+    """Conditional coincidence rate at (x_i, x_s).
 
     ``rho0`` is the initial pair-basis density over anti-correlated slit
     pairs; ``p`` is the dephasing parameter.  Scalar or array positions.
+    The rate is never negative: the detector weights form a positive-definite
+    sequence, so any valid ``rho0`` keeps the bracket 1 + (1-p) G >= 1/2.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    if scale < 0:
+        raise ValueError(f"scale must be non-negative, got {scale}")
     env, fringe = _envelope_and_fringe(geom, rho0, x_i, x_s)
     out = scale * env * (1.0 + (1.0 - p) * fringe)
-    clipped = np.minimum(out, 0.0)
-    if np.any(clipped < -1e-9 * abs(scale)):
-        warnings.warn(
-            "pattern model went negative beyond rounding and was clamped; "
-            "the supplied pair density drives the bracket below zero",
-            stacklevel=2,
-        )
-    result = np.maximum(out, 0.0)
-    return float(result) if np.ndim(x_i) == 0 and np.ndim(x_s) == 0 else result
+    return float(out) if np.ndim(x_i) == 0 and np.ndim(x_s) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -156,8 +149,11 @@ class PatternScan:
             raise ValueError("positions and counts must be matching 1-d arrays")
         if len(np.unique(pos)) < MIN_SCAN_SAMPLES:
             raise ValueError(f"need at least {MIN_SCAN_SAMPLES} distinct sample positions")
-        if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(cts)):
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(cts))
+                and math.isfinite(self.fixed_position)):
             raise ValueError("scan contains non-finite values")
+        if self.p_true is not None and not 0.0 <= self.p_true <= 1.0:
+            raise ValueError(f"p_true must be in [0, 1], got {self.p_true}")
         if np.any(cts < 0):
             raise ValueError("counts must be non-negative")
         pos.setflags(write=False)
@@ -231,8 +227,10 @@ def _profiled(counts: np.ndarray, model: np.ndarray) -> tuple[float, float]:
 def fit_p(scan: PatternScan, geom: OpticalGeometry, rho0: DensityMatrix) -> FitResult:
     """Least-squares estimate of p with the overall scale profiled out.
 
-    Coarse grid over [0, 1] followed by local parabolic refinement of the
-    unimodal profiled objective; geometry and the pair density stay fixed.
+    The model E (1 + q G) is affine in q = 1 - p, so one 2x2 normal-equation
+    solve of counts ~ alpha E + beta E G gives q = beta / alpha.  The profiled
+    residual has a single minimum on the projective line of (alpha, beta), so
+    when q leaves [0, 1] the better endpoint is the exact constrained optimum.
     sigma_p scales the Gauss-approximation curvature of the objective at
     the minimum by the counting noise of the fitted rates, so idealized
     noiseless scans still quote the counting-noise floor of their count
@@ -254,24 +252,25 @@ def fit_p(scan: PatternScan, geom: OpticalGeometry, rho0: DensityMatrix) -> FitR
     # normalizing makes the fit exactly invariant under count rescaling
     counts = scan.counts / top
 
-    def objective(p: float) -> float:
-        model = np.maximum(env * (1.0 + (1.0 - p) * fringe), 0.0)
-        return _profiled(counts, model)[0]
+    basis = np.stack([env, env * fringe])
+    gram = basis @ basis.T
+    proj = basis @ counts
+    # Cramer's rule; the determinant cancels in q = beta / alpha
+    alpha = gram[1, 1] * proj[0] - gram[0, 1] * proj[1]
+    beta = gram[0, 0] * proj[1] - gram[0, 1] * proj[0]
+    if alpha != 0.0 and 0.0 <= beta / alpha <= 1.0:
+        q = float(beta / alpha)
+    else:
+        q = min((0.0, 1.0), key=lambda q: _profiled(counts, env * (1.0 + q * fringe))[0])
+    p_hat = 1.0 - q
 
-    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    values = [objective(p) for p in grid]
-    best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, _GRID_POINTS - 1)]
-    p_hat = _parabolic_min(objective, lo, hi)
-
-    model = np.maximum(env * (1.0 + (1.0 - p_hat) * fringe), 0.0)
+    # a valid pair density keeps 1 + q G >= 1/2, so the model needs no clamp
+    model = env * (1.0 + q * fringe)
     _, amp = _profiled(counts, model)
     scale_hat = amp * top
 
     # expected Poisson variance of the normalized counts at the fitted rates
-    fitted = np.maximum(amp * model, 0.0)
-    s2 = float(np.mean(fitted)) / top
+    s2 = float(np.mean(amp * model)) / top
     deriv = -env * fringe
     mm = float(np.dot(model, model))
     if mm > 0.0:
@@ -281,61 +280,3 @@ def fit_p(scan: PatternScan, geom: OpticalGeometry, rho0: DensityMatrix) -> FitR
     curvature = amp * amp * float(np.dot(perp, perp))
     sigma = math.sqrt(s2 / curvature) if curvature > 0.0 and s2 > 0.0 else math.inf
     return FitResult(p_hat, max(sigma, SIGMA_FLOOR), scale_hat)
-
-
-def _parabolic_min(fun, lo: float, hi: float) -> float:
-    """Minimum of a unimodal function on [lo, hi] by quadratic interpolation.
-
-    Each step fits a parabola through the bracket endpoints and an interior
-    point and jumps to its vertex; whenever the vertex degenerates, leaves
-    the bracket, or fails to shrink it, the step falls back to bisecting
-    the larger half.
-    """
-    a, b = float(lo), float(hi)
-    if b <= a:
-        return min(max(a, 0.0), 1.0)
-    m = 0.5 * (a + b)
-    fa, fm, fb = fun(a), fun(m), fun(b)
-
-    def absorb(x: float, fx: float):
-        nonlocal a, fa, m, fm, b, fb
-        if x < m:
-            u, fu, v, fv = x, fx, m, fm
-        else:
-            u, fu, v, fv = m, fm, x, fx
-        if fu <= fv:
-            b, fb = v, fv
-            m, fm = u, fu
-        else:
-            a, fa = u, fu
-            m, fm = v, fv
-
-    def bisect_larger_half() -> float:
-        return 0.5 * (a + m) if (m - a) > (b - m) else 0.5 * (m + b)
-
-    for _ in range(120):
-        width = b - a
-        if width < _REFINE_TOL:
-            break
-        num = (m - a) ** 2 * (fm - fb) - (m - b) ** 2 * (fm - fa)
-        den = (m - a) * (fm - fb) - (m - b) * (fm - fa)
-        x = m - 0.5 * num / den if den != 0.0 else math.nan
-        margin = 1e-3 * width
-        if not (a + margin < x < b - margin) or abs(x - m) < 1e-3 * _REFINE_TOL:
-            x = bisect_larger_half()
-        absorb(x, fun(x))
-        if (b - a) > 0.95 * width:
-            # force shrinkage when interpolation stalls near one endpoint
-            x = bisect_larger_half()
-            absorb(x, fun(x))
-    return min(max(m, 0.0), 1.0)
-
-
-def fit_p_joint(
-    scan_at_zero: PatternScan,
-    scan_at_xpi: PatternScan,
-    geom: OpticalGeometry,
-    rho0: DensityMatrix,
-) -> tuple[FitResult, FitResult]:
-    """Independent fits of the two standard fixed positions."""
-    return fit_p(scan_at_zero, geom, rho0), fit_p(scan_at_xpi, geom, rho0)

@@ -158,15 +158,16 @@ def i_concurrence(psi: PureBipartiteState) -> float:
     """Entanglement of a pure d x d state, normalized to [0, 1].
 
     sqrt(2 [1 - Tr(rho_reduced^2)]) / Omega with Omega = sqrt(2 (d-1) / d);
-    both reduced states give the same value.
+    both reduced states give the same value, Tr(rho^2) = ||c c^dagger||_F^2
+    (Rungta et al., PRA 64, 042315 (2001)).
     """
     if psi.dim_s != psi.dim_i:
         raise ValueError("i_concurrence requires equal subsystem dimensions")
     d = psi.dim_s
     if d < 2:
         raise ValueError("i_concurrence requires dimension >= 2")
-    lam = schmidt_coefficients(psi)
-    pur = float(np.sum(lam**2))
+    reduced = psi.amplitudes @ psi.amplitudes.conj().T
+    pur = float(np.vdot(reduced, reduced).real)
     omega = math.sqrt(2.0 * (d - 1) / d)
     return math.sqrt(max(2.0 * (1.0 - pur), 0.0)) / omega
 

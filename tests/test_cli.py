@@ -256,5 +256,20 @@ def test_reproduce_table2_malformed_counts(tmp_path):
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("rows", [
+    "9223372036854775808 1\n1 1\n",  # one entry of 2^63
+    "18446744073709551616 1\n1 1\n",  # one entry of 2^64
+    "9223372036854775807 1\n1 1\n",  # entries below 2^63 whose total is not
+], ids=["entry-2^63", "entry-2^64", "total-above-2^63"])
+@pytest.mark.filterwarnings("error")
+def test_reproduce_table2_rejects_counts_beyond_int64(tmp_path, capsys, rows):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("gamma_t 0.0\n" + rows)
+    assert run("reproduce-table2", "--counts", counts, "--seed", 5, "--out", tmp_path / "r.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "2^63" in err[0]
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_unknown_command_exit_code():
     assert run("no-such-command") == 1

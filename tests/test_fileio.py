@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slitsim.datasets import damping_counts, damping_counts_text
 from slitsim.experiment import CountsTable, SlitStatePrep, prepare_state
@@ -13,7 +17,7 @@ from slitsim.fileio import (
     parse_scan,
     parse_state,
 )
-from slitsim.film import compile_film
+from slitsim.film import FilmSchedule, compile_film
 from slitsim.optics import OpticalGeometry, PatternScan
 from slitsim.qcore import DensityMatrix, PureBipartiteState
 
@@ -115,3 +119,112 @@ def test_scan_without_p_true():
     back, _ = parse_scan(format_scan(scan, geom))
     assert back.p_true is None
     assert back.fixed_arm == "idler"
+
+
+# ------------------------------------------------------------ parser fuzzing
+
+def _scan_document() -> str:
+    scan = PatternScan("signal", 0.0, np.linspace(-0.5, 0.5, 9), np.arange(9.0) + 1.0, p_true=0.25)
+    return format_scan(scan, OpticalGeometry())
+
+
+_PARSERS = {
+    "state": (parse_state, format_state(prepare_state(SlitStatePrep(3, (0.2771, 0.5420, 0.7934))))),
+    "density": (parse_state, format_state(DensityMatrix(np.array([[0.5, 0.25], [0.25, 0.5]])))),
+    "counts": (parse_counts_text, format_counts([
+        CountsTable(np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), gamma_t=0.0),
+        CountsTable(np.array([[9, 0, 0], [0, 1, 0], [0, 0, 4]]), gamma_t=1.5),
+    ])),
+    "film": (parse_film, format_film(compile_film(4, 0.5, 8))),
+    "scan": (parse_scan, _scan_document()),
+}
+
+_MUTANT_TOKENS = st.one_of(
+    st.integers(min_value=2**31).map(str),
+    st.integers(max_value=-2**31).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "NaN", "Infinity", "1e999", "-1e999", "1e-999",
+                     "0", "-0", "1", "-1", "2", "3", "4", "9223372036854775807",
+                     "9223372036854775808", "18446744073709551616", "0.5", "1e308"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _mutated(draw, document: str) -> str:
+    """A well-formed document with tokens replaced, dropped, or added and
+    lines dropped or repeated."""
+    lines = [line.split() for line in document.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[row]
+        op = draw(st.sampled_from(["replace", "drop", "add", "drop_line", "repeat_line"]))
+        if op == "replace" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_MUTANT_TOKENS)
+        elif op == "drop" and tokens:
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        elif op == "add":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(_MUTANT_TOKENS))
+        elif op == "drop_line" and len(lines) > 1:
+            del lines[row]
+        elif op == "repeat_line":
+            lines.insert(row, list(tokens))
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+def _assert_valid(parsed):
+    """A parser result holds only objects whose own checks passed and finite numbers."""
+    if isinstance(parsed, (PureBipartiteState, DensityMatrix, FilmSchedule)):
+        return
+    if isinstance(parsed, list):
+        assert parsed and all(isinstance(t, CountsTable) for t in parsed)
+        assert all(math.isfinite(t.gamma_t) and t.total > 0 for t in parsed)
+        return
+    scan, geom = parsed
+    assert isinstance(scan, PatternScan) and isinstance(geom, OpticalGeometry)
+    assert math.isfinite(scan.fixed_position)
+    assert scan.p_true is None or math.isfinite(scan.p_true)
+    assert all(math.isfinite(v) and v > 0 for v in vars(geom).values())
+
+
+def _parse_or_reject(parser, text: str):
+    try:
+        parsed = parser(text)
+    except ValueError:
+        return
+    _assert_valid(parsed)
+
+
+@pytest.mark.parametrize("name", sorted(_PARSERS))
+@given(text=st.text(max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_parsers_reject_arbitrary_text_with_value_error(name, text):
+    parser, document = _PARSERS[name]
+    _parse_or_reject(parser, text)
+    # the same garbage behind a well-formed header
+    _parse_or_reject(parser, "\n".join(document.splitlines()[:2] + [text]))
+
+
+@pytest.mark.parametrize("name", sorted(_PARSERS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_parsers_reject_mutated_documents_with_value_error(name, data):
+    parser, document = _PARSERS[name]
+    _assert_valid(parser(document))
+    _parse_or_reject(parser, data.draw(_mutated(document)))
+
+
+@pytest.mark.parametrize("parser, text", [
+    (parse_counts_text, "gamma_t nan\n1 2\n3 4\n"),
+    (parse_counts_text, "gamma_t 0.0\n18446744073709551616 2\n3 4\n"),
+    (parse_scan, _scan_document().replace("focal_length_mm 200.0", "focal_length_mm inf")),
+    (parse_scan, _scan_document().replace("fixed_position_mm 0.0", "fixed_position_mm -inf")),
+    (parse_scan, _scan_document().replace("p_true 0.25", "p_true nan")),
+    # rejected before any allocation: the dense matrix would need gigabytes
+    (parse_state, "kind pure\ndims 2 100000000\n0 0 1 0\n"),
+    (parse_state, "kind density\ndims 100000\n0 0 1 0\n"),
+    (parse_state, "kind density\ndims 0\n"),
+], ids=["counts-nan-gamma_t", "counts-entry-2^64", "scan-inf-geometry", "scan-inf-fixed-position",
+        "scan-nan-p_true", "state-pure-oversized", "state-density-oversized", "state-zero-dims"])
+def test_parsers_reject_non_finite_and_oversized_values(parser, text):
+    with pytest.raises(ValueError):
+        parser(text)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_density
 from slitsim.experiment import SlitStatePrep, anti_correlated_block, prepare_state
 from slitsim.optics import (
     DegenerateScanError,
     OpticalGeometry,
     PatternScan,
+    _envelope_and_fringe,
     fit_p,
-    fit_p_joint,
     fringe_period,
     pattern_intensity,
     synthesize_scan,
@@ -65,14 +66,16 @@ def test_envelope_normalized_pattern_is_periodic():
 def test_pattern_rejects_bad_p():
     with pytest.raises(ValueError):
         pattern_intensity(GEOM, RHO0, 1.5, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        pattern_intensity(GEOM, RHO0, 0.5, 0.0, 0.0, scale=-1.0)
 
 
 def test_pattern_nonnegative_without_meaningful_clamping():
     import warnings
 
     xs = np.linspace(-2.0, 2.0, 3001)
-    # clamping beyond 1e-9 of the scale raises the diagnostic warning, so an
-    # error filter proves the closed form stays non-negative in-model
+    # the model itself is never negative (no clamp exists to hide it), and the
+    # error filter rules out numpy warnings along the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in (0.0, 0.5, 1.0):
@@ -207,13 +210,13 @@ def test_fit_p_joint_consistency():
     xs = dense_scan_positions()
     scan0 = synthesize_scan(GEOM, RHO0, 0.25, "signal", 0.0, xs, 500.0, seed=31)
     scan_pi = synthesize_scan(GEOM, RHO0, 0.25, "signal", x_pi(GEOM), xs, 500.0, seed=32)
-    r0, r1 = fit_p_joint(scan0, scan_pi, GEOM, RHO0)
+    r0, r1 = fit_p(scan0, GEOM, RHO0), fit_p(scan_pi, GEOM, RHO0)
     combined = math.hypot(r0.sigma_p, r1.sigma_p)
     assert abs(r0.p_hat - r1.p_hat) <= 2.0 * combined
 
     noiseless0 = synthesize_scan(GEOM, RHO0, 0.0, "signal", 0.0, xs, 500.0, seed=0, noiseless=True)
     noiseless1 = synthesize_scan(GEOM, RHO0, 0.0, "signal", x_pi(GEOM), xs, 500.0, seed=0, noiseless=True)
-    r0, r1 = fit_p_joint(noiseless0, noiseless1, GEOM, RHO0)
+    r0, r1 = fit_p(noiseless0, GEOM, RHO0), fit_p(noiseless1, GEOM, RHO0)
     assert r0.p_hat == pytest.approx(0.0, abs=1e-6)
     assert r1.p_hat == pytest.approx(0.0, abs=1e-6)
 
@@ -222,7 +225,7 @@ def test_fit_p_joint_full_dephasing():
     xs = dense_scan_positions()
     scan0 = synthesize_scan(GEOM, RHO0, 1.0, "signal", 0.0, xs, 500.0, seed=41)
     scan_pi = synthesize_scan(GEOM, RHO0, 1.0, "signal", x_pi(GEOM), xs, 500.0, seed=42)
-    r0, r1 = fit_p_joint(scan0, scan_pi, GEOM, RHO0)
+    r0, r1 = fit_p(scan0, GEOM, RHO0), fit_p(scan_pi, GEOM, RHO0)
     assert r0.p_hat >= 0.9
     assert r1.p_hat >= 0.9
 
@@ -243,3 +246,68 @@ def test_geometry_validation():
         OpticalGeometry(half_slit_width=0.2)  # slit wider than the separation
     with pytest.raises(ValueError):
         OpticalGeometry(beta=-1.0)
+
+
+@pytest.mark.parametrize("geom", [
+    GEOM,
+    OpticalGeometry(half_detector_width=0.3),
+    OpticalGeometry(beta=1.7, half_detector_width=0.01, half_slit_width=0.1),
+], ids=["bench", "wide-detector", "beta-1.7"])
+def test_fringe_bracket_stays_above_one_half(geom):
+    # The detector weights form a positive-definite sequence, so for any
+    # physical pair density 1 + 2 G >= 0 and the model 1 + q G >= 1/2 for
+    # q in [0, 1]: the fit needs no clamp at zero.
+    rng = np.random.default_rng(11)
+    x_i = np.linspace(-3.0, 3.0, 2001)
+    lowest = math.inf
+    for d in range(2, 7):
+        for trial in range(20):
+            if trial % 2:
+                rho = random_density(rng, d)
+            else:
+                v = rng.normal(size=d) + 1j * rng.normal(size=d)
+                rho = DensityMatrix.from_vector(v)
+            for x_s in (0.0, x_pi(geom), 0.1, -0.37):
+                _, fringe = _envelope_and_fringe(geom, rho, x_i, x_s)
+                lowest = min(lowest, float(np.min(1.0 + fringe)))
+    assert lowest >= 0.5 - 1e-12
+
+
+def _assert_no_worse_than_grid(scan, rho0, p_hat, points=2001):
+    """Brute-force oracle: the profiled residual at p_hat, built from
+    pattern_intensity with the scale solved per model, is no larger than the
+    smallest on a dense p grid, up to rounding."""
+    def rss(p):
+        model = pattern_intensity(GEOM, rho0, p, scan.positions, scan.fixed_position)
+        amp = np.dot(scan.counts, model) / np.dot(model, model)
+        resid = scan.counts - amp * model
+        return float(np.dot(resid, resid))
+
+    best = min(rss(p) for p in np.linspace(0.0, 1.0, points))
+    assert rss(p_hat) <= best + 1e-12 * float(np.dot(scan.counts, scan.counts))
+
+
+@pytest.mark.parametrize("p, seed", [(0.125, 3), (0.875, 5)])
+@pytest.mark.parametrize("x_fixed", [0.0, x_pi(GEOM)], ids=["x0", "xpi"])
+def test_fit_is_no_worse_than_a_dense_grid(p, seed, x_fixed):
+    scan = synthesize_scan(GEOM, RHO0, p, "signal", x_fixed, dense_scan_positions(), 500.0, seed=seed)
+    _assert_no_worse_than_grid(scan, RHO0, fit_p(scan, GEOM, RHO0).p_hat)
+
+
+def test_fit_clamps_excess_fringe_to_p_zero():
+    # the scan carries full coherence, the assumed pair density only half of it
+    weaker = DensityMatrix(0.5 * RHO0.matrix + 0.5 * np.diag(np.diag(RHO0.matrix)))
+    scan = synthesize_scan(GEOM, RHO0, 0.0, "signal", 0.0, dense_scan_positions(), 500.0, seed=6)
+    p_hat = fit_p(scan, GEOM, weaker).p_hat
+    assert p_hat == 0.0
+    _assert_no_worse_than_grid(scan, weaker, p_hat)
+
+
+def test_fit_clamps_anti_phase_fringe_to_p_one():
+    # fringes of |-> = (|0> - |1>)/sqrt(2) fitted with the pair density of |+>
+    plus = DensityMatrix(np.full((2, 2), 0.5))
+    minus = DensityMatrix(np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    scan = synthesize_scan(GEOM, minus, 0.0, "signal", 0.0, dense_scan_positions(), 500.0, seed=7)
+    p_hat = fit_p(scan, GEOM, plus).p_hat
+    assert p_hat == 1.0
+    _assert_no_worse_than_grid(scan, plus, p_hat)
