@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, PureBipartiteState, i_concurrence
+from .qcore import DensityMatrix, PureBipartiteState, _i_concurrence
 from .rng import derive_rng
 
 ANTI_CORRELATED = "anti-correlated"
@@ -185,15 +185,20 @@ def populations(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
 def concurrence_uncertainty(table: CountsTable, *, seed: int, n_resamples: int = 1000) -> float:
     """Parametric-bootstrap standard deviation of the reconstructed concurrence.
 
-    Each resample redraws every cell as Poisson(N_ij) from stream
-    (seed, resample index).
+    Resample r redraws every cell as Poisson(N_ij) from stream (seed, r) and
+    all-zero resamples are dropped.  Draws of a validated table need no checks
+    of their own, so the survivors are evaluated as one stack.
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
-    values = []
+    draws = np.empty((n_resamples, *table.counts.shape), dtype=np.int64)
     for r in range(n_resamples):
-        redrawn = derive_rng(seed, r).poisson(table.counts)
-        if redrawn.sum() == 0:
-            continue
-        values.append(i_concurrence(reconstruct_state(CountsTable(redrawn))))
-    return float(np.std(values))
+        draws[r] = derive_rng(seed, r).poisson(table.counts)
+    draws = draws[draws.any(axis=(1, 2))]
+    if len(draws) < 2:
+        raise ValueError(
+            f"only {len(draws)} of {n_resamples} bootstrap resamples are non-empty; "
+            "the spread needs at least two"
+        )
+    totals = draws.sum(axis=(1, 2), keepdims=True)
+    return float(np.std(_i_concurrence(np.sqrt(draws / totals))))

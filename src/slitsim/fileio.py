@@ -150,13 +150,21 @@ def parse_film(text: str) -> FilmSchedule:
         raise ValueError("schedule file too short")
     d = int(_keyed(lines[0], "d"))
     n_frames = int(_keyed(lines[1], "n_frames"))
-    frames = []
+    frames, phases = [], []
     for line in lines[2:]:
         parts = line.split()
         if len(parts) != d + 1:
             raise ValueError(f"frame line must hold an index and {d} phases: {line!r}")
         frames.append(int(parts[0]))
-    return FilmSchedule(d, n_frames, tuple(frames))
+        phases.append([float(tok) for tok in parts[1:]])
+    film = FilmSchedule(d, n_frames, tuple(frames))
+    # a non-finite phase fails the comparison too
+    for idx, (line, got) in enumerate(zip(lines[2:], phases)):
+        if not all(abs(g - w) <= 1e-12 for g, w in zip(got, mask_phases(film, idx))):
+            raise ValueError(
+                f"frame {idx} phases differ from its mask (pi at the flipped slit, 0 elsewhere): {line!r}"
+            )
+    return film
 
 
 # ---------------------------------------------------------------- scan files

@@ -254,6 +254,8 @@ def fit_p(scan: PatternScan, geom: OpticalGeometry, rho0: DensityMatrix) -> FitR
 
     basis = np.stack([env, env * fringe])
     gram = basis @ basis.T
+    if not 0.0 < gram[0, 0] < math.inf:
+        raise DegenerateScanError("squared pattern envelope underflows; p is unidentifiable")
     proj = basis @ counts
     # Cramer's rule; the determinant cancels in q = beta / alpha
     alpha = gram[1, 1] * proj[0] - gram[0, 1] * proj[1]
@@ -278,5 +280,7 @@ def fit_p(scan: PatternScan, geom: OpticalGeometry, rho0: DensityMatrix) -> FitR
     else:
         perp = deriv
     curvature = amp * amp * float(np.dot(perp, perp))
+    if not math.isfinite(curvature):
+        raise DegenerateScanError("fit curvature overflows on a vanishing envelope; p is unidentifiable")
     sigma = math.sqrt(s2 / curvature) if curvature > 0.0 and s2 > 0.0 else math.inf
     return FitResult(p_hat, max(sigma, SIGMA_FLOOR), scale_hat)

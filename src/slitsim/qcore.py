@@ -154,6 +154,19 @@ def schmidt_coefficients(psi: PureBipartiteState) -> np.ndarray:
     return np.sort(s**2)[::-1]
 
 
+def _i_concurrence(c: np.ndarray) -> np.ndarray:
+    """I-concurrence of each normalized amplitude matrix in a (..., d, d) stack."""
+    d = c.shape[-1]
+    if c.shape[-2] != d or d < 2:
+        raise ValueError(f"i_concurrence requires equal subsystem dimensions >= 2, got {c.shape[-2:]}")
+    c = np.asarray(c, dtype=np.complex128)
+    flat = (c @ np.conj(np.swapaxes(c, -1, -2))).reshape(c.shape[:-2] + (d * d,))
+    # one row-times-column product per matrix: the conj(x) . x inner product of np.vdot
+    pur = (np.conj(flat)[..., None, :] @ flat[..., :, None])[..., 0, 0].real
+    omega = math.sqrt(2.0 * (d - 1) / d)
+    return np.sqrt(np.maximum(2.0 * (1.0 - pur), 0.0)) / omega
+
+
 def i_concurrence(psi: PureBipartiteState) -> float:
     """Entanglement of a pure d x d state, normalized to [0, 1].
 
@@ -161,15 +174,7 @@ def i_concurrence(psi: PureBipartiteState) -> float:
     both reduced states give the same value, Tr(rho^2) = ||c c^dagger||_F^2
     (Rungta et al., PRA 64, 042315 (2001)).
     """
-    if psi.dim_s != psi.dim_i:
-        raise ValueError("i_concurrence requires equal subsystem dimensions")
-    d = psi.dim_s
-    if d < 2:
-        raise ValueError("i_concurrence requires dimension >= 2")
-    reduced = psi.amplitudes @ psi.amplitudes.conj().T
-    pur = float(np.vdot(reduced, reduced).real)
-    omega = math.sqrt(2.0 * (d - 1) / d)
-    return math.sqrt(max(2.0 * (1.0 - pur), 0.0)) / omega
+    return float(_i_concurrence(psi.amplitudes))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -114,6 +114,8 @@ def damping_series_report(
 ) -> tuple[str, bool]:
     """Per-column state reconstruction, concurrence, and population summary.
 
+    Every table must be 3x3, one row and column per Sagnac level.
+
     Reconstructed concurrences are compared against the measured reference
     values where available; any absolute difference above
     CONCURRENCE_FLAG_THRESHOLD is flagged.
@@ -129,6 +131,12 @@ def damping_series_report(
         "gamma_t  total  concurrence  sigma    reference      delta    flag   "
         "pop_s0  pop_s1  pop_s2",
     ]
+    for table in tables:
+        if table.counts.shape != (3, 3):
+            raise ValueError(
+                f"counts block gamma_t={table.gamma_t} has shape {table.counts.shape}; "
+                "the damping series needs 3x3 tables (three Sagnac levels)"
+            )
     all_ok = True
     for col, table in enumerate(tables):
         state = reconstruct_state(table)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,44 @@ def test_reproduce_table2_rejects_counts_beyond_int64(tmp_path, capsys, rows):
     assert run("reproduce-table2", "--counts", counts, "--seed", 5, "--out", tmp_path / "r.txt") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "2^63" in err[0]
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("--seed", 5, "--resamples", 400), "637cd658418c9334515076e9d6a0c2b9033a83aab34fdf95ce2dee36f93a7859"),
+    (("--seed", 0), "d154356d8822de0bea2b0361194f4364ee80cb5a8a61fac49c04bf8b33d807e9"),
+], ids=["seed5-400", "seed0-1000"])
+def test_reproduce_table2_bytes_are_pinned(tmp_path, capsys, args, digest):
+    report = tmp_path / "report.txt"
+    assert run("reproduce-table2", *args, "--out", report) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("error")
+def test_reproduce_table2_too_few_non_empty_resamples(tmp_path, capsys):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("gamma_t 0.5\n1 0 0\n0 0 0\n0 0 0\n")
+    assert run("reproduce-table2", "--counts", counts, "--resamples", 2, "--seed", 11,
+               "--out", tmp_path / "r.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "0 of 2" in err[0]
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("rows, shape", [
+    ("1 2\n3 4\n", "(2, 2)"),
+    ("1 2 3 4\n" * 4, "(4, 4)"),
+    ("1 2 3\n4 5 6\n", "(2, 3)"),
+], ids=["2x2", "4x4", "2x3"])
+@pytest.mark.filterwarnings("error")
+def test_reproduce_table2_rejects_tables_that_are_not_3x3(tmp_path, capsys, rows, shape):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("gamma_t 0.0\n1 2 3\n4 5 6\n7 8 9\ngamma_t 0.7\n" + rows)
+    assert run("reproduce-table2", "--counts", counts, "--seed", 5, "--out", tmp_path / "r.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "gamma_t=0.7" in err[0] and shape in err[0]
     assert not (tmp_path / "r.txt").exists()
 
 

@@ -19,6 +19,7 @@ from slitsim.experiment import (
     simulate_counts,
 )
 from slitsim.qcore import i_concurrence
+from slitsim.rng import derive_rng
 
 TABLE2_INITIAL_AMPS = (0.2771, 0.5420, 0.7934)
 
@@ -177,6 +178,34 @@ def test_concurrence_uncertainty_deterministic():
     assert concurrence_uncertainty(t, seed=9, n_resamples=300) == concurrence_uncertainty(
         t, seed=9, n_resamples=300
     )
+
+
+def _per_resample_sigma(table: CountsTable, seed: int, n_resamples: int) -> float:
+    """One validated table, state and concurrence per resample, all-zero draws dropped."""
+    values = []
+    for r in range(n_resamples):
+        redrawn = derive_rng(seed, r).poisson(table.counts)
+        if redrawn.sum() == 0:
+            continue
+        values.append(i_concurrence(reconstruct_state(CountsTable(redrawn))))
+    return float(np.std(values))
+
+
+@pytest.mark.parametrize("n_resamples", [2, 50, 1000])
+def test_concurrence_uncertainty_matches_per_resample_oracle(n_resamples):
+    # the sparse table loses about one resample in twenty (e^-3) to the drop rule
+    sparse = CountsTable(np.eye(3, dtype=int))
+    for table in damping_counts() + [sparse]:
+        for seed in (0, 7, 12345):
+            got = concurrence_uncertainty(table, seed=seed, n_resamples=n_resamples)
+            assert got == pytest.approx(_per_resample_sigma(table, seed, n_resamples), abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_concurrence_uncertainty_needs_two_non_empty_resamples():
+    table = CountsTable(np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(ValueError, match="only 0 of 2 bootstrap resamples are non-empty"):
+        concurrence_uncertainty(table, seed=3, n_resamples=2)
 
 
 def test_reconstruction_converges_with_statistics():

@@ -192,6 +192,14 @@ def test_degenerate_scan_is_signaled():
         fit_p(scan, GEOM, diagonal)
 
 
+@pytest.mark.parametrize("start", [1e80, 1e85, 1e160])
+def test_far_tail_scan_is_degenerate(start):
+    # the squared envelope (or, at 1e80, the curvature's amp^2) leaves the float range
+    scan = PatternScan("signal", 0.0, np.linspace(start, 2 * start, 9), np.full(9, 100.0))
+    with pytest.raises(DegenerateScanError):
+        fit_p(scan, GEOM, RHO0)
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         PatternScan("signal", 0.0, np.linspace(0, 1, 5), np.ones(5))  # too few samples
