@@ -19,15 +19,11 @@ COMPLETENESS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightedKrausSet:
-    """Kraus operators K_i with probability weights p_i.
-
-    With ``trace_preserving`` the weighted completeness sum must equal the
-    identity; otherwise it may sit below it (a filtering operation).
-    """
+    """Kraus operators K_i with probability weights p_i; the weighted
+    completeness sum must equal the identity (trace preserving)."""
 
     operators: tuple[ComplexOperator, ...]
     weights: tuple[float, ...]
-    trace_preserving: bool = True
 
     def __post_init__(self):
         ops = tuple(self.operators)
@@ -42,14 +38,8 @@ class WeightedKrausSet:
         if abs(sum(ws) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1, got {sum(ws):.15g}")
         total = sum(w * (op.matrix.conj().T @ op.matrix) for op, w in zip(ops, ws))
-        gap = np.eye(dim) - total
-        if self.trace_preserving:
-            if np.max(np.abs(gap)) > COMPLETENESS_TOL:
-                raise ValueError("weighted Kraus set is not trace preserving")
-        else:
-            lam_min = float(np.linalg.eigvalsh(gap)[0])
-            if lam_min < -COMPLETENESS_TOL:
-                raise ValueError("weighted Kraus completeness sum exceeds the identity")
+        if np.max(np.abs(np.eye(dim) - total)) > COMPLETENESS_TOL:
+            raise ValueError("weighted Kraus set is not trace preserving")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "weights", ws)
 
@@ -89,11 +79,12 @@ def dephasing_channel(d: int, weights) -> WeightedKrausSet:
     return WeightedKrausSet(tuple(dephasing_kraus(d)), tuple(ws))
 
 
-def uniform_dephasing_channel(d: int, p: float) -> WeightedKrausSet:
-    """Single-parameter channel with every sign-flip weight p/4.
-
-    Scales every coherence by exactly (1 - p); requires d*p/4 <= 1.
-    """
+def _uniform_flip_weight(d: int, p: float) -> float:
+    """The one meaning of the dephasing parameter: every sign flip gets weight p/4,
+    so each coherence scales by exactly (1 - p) at any d; the d flips share at
+    most unit weight, so p <= 4/d."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if d * p / 4.0 > 1.0 + WEIGHT_TOL:
@@ -101,7 +92,12 @@ def uniform_dephasing_channel(d: int, p: float) -> WeightedKrausSet:
             f"p = {p} is not realizable at d = {d}: the uniform sign-flip weight p/4 "
             f"needs p <= 4/d = {4.0 / d:.6g}"
         )
-    return dephasing_channel(d, [p / 4.0] * d)
+    return p / 4.0
+
+
+def uniform_dephasing_channel(d: int, p: float) -> WeightedKrausSet:
+    """Single-parameter channel: sign-flip weights p/4 scale every coherence by (1 - p)."""
+    return dephasing_channel(d, [_uniform_flip_weight(d, p)] * d)
 
 
 def apply_channel(chan: WeightedKrausSet, rho: DensityMatrix) -> DensityMatrix:

@@ -18,8 +18,6 @@ import numpy as np
 from .qcore import DensityMatrix, PureBipartiteState, _i_concurrence
 from .rng import derive_rng
 
-ANTI_CORRELATED = "anti-correlated"
-
 
 @dataclass(frozen=True)
 class SlitStatePrep:
@@ -45,10 +43,8 @@ class SlitStatePrep:
         return cls(d, tuple([1.0] * d))
 
 
-def prepare_state(prep: SlitStatePrep, pairing: str = ANTI_CORRELATED) -> PureBipartiteState:
+def prepare_state(prep: SlitStatePrep) -> PureBipartiteState:
     """Place the normalized weights on anti-correlated pairs |l>_s |d-1-l>_i."""
-    if pairing != ANTI_CORRELATED:
-        raise ValueError(f"unsupported pairing {pairing!r}")
     amps = np.asarray(prep.amplitudes, dtype=float)
     amps = amps / np.linalg.norm(amps)
     c = np.zeros((prep.d, prep.d), dtype=np.complex128)

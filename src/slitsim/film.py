@@ -3,16 +3,18 @@
 An acquisition window is split into n_frames equal time slices; each slice
 shows one phase mask realizing one dephasing operator.  Running the film
 for the whole window applies the weighted channel whose weights are the
-frame fractions, so a target parameter p is representable exactly iff
-p * n_frames / d is an integer.
+frame fractions.  Each sign flip weighs p/4 (p as `slitsim.channels` defines
+it), so a target parameter p is representable exactly iff p * n_frames / 4
+is an integer.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channels import WeightedKrausSet, dephasing_kraus
+from .channels import WeightedKrausSet, _uniform_flip_weight, dephasing_kraus
 
 DEFAULT_FRAMES = 32
 
@@ -24,15 +26,17 @@ class NonRepresentableP(ValueError):
         self.p = p
         self.below = below
         self.above = above
+        nearest = f"value is {below:.6g}" if below == above else f"values are {below:.6g} and {above:.6g}"
         super().__init__(
             f"p = {p:.6g} is not representable with this frame count; "
-            f"nearest representable values are {below:.6g} and {above:.6g}"
+            f"nearest representable {nearest}"
         )
 
 
 @dataclass(frozen=True)
 class FilmSchedule:
-    """Ordered operator indices per frame; index d means the identity."""
+    """Ordered operator indices per frame; index d means the identity.  Every
+    sign flip appears k times, 4k <= n_frames, so the film has one p = 4k/n_frames."""
 
     d: int
     n_frames: int
@@ -43,14 +47,18 @@ class FilmSchedule:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
         if self.n_frames < 1:
             raise ValueError("need at least one frame")
-        frames = tuple(int(i) for i in self.frames)
+        frames = tuple(map(int, self.frames))
         if len(frames) != self.n_frames:
             raise ValueError(f"expected {self.n_frames} frames, got {len(frames)}")
-        if any(i < 0 or i > self.d for i in frames):
+        flips = Counter(frames)
+        if any(i < 0 or i > self.d for i in flips):
             raise ValueError("frame indices must lie in {0..d}")
-        counts = {j: frames.count(j) for j in set(frames) if j < self.d}
-        if len(set(counts.values())) > 1:
-            raise ValueError("non-identity operators must appear with equal multiplicity")
+        del flips[self.d]  # the identity; a Counter ignores a missing key
+        k, rem = divmod(sum(flips.values()), self.d)  # all d flips k times iff the present ones are
+        if rem or any(c != k for c in flips.values()):
+            raise ValueError("every sign-flip operator must appear in the same number of frames")
+        if 4 * k > self.n_frames:
+            raise ValueError(f"{k} of {self.n_frames} frames per sign flip give p = 4k/n_frames > 1")
         object.__setattr__(self, "frames", frames)
 
     def operator_counts(self) -> list[int]:
@@ -65,23 +73,18 @@ class FilmSchedule:
 def compile_film(d: int, p: float, n_frames: int = DEFAULT_FRAMES) -> FilmSchedule:
     """Schedule realizing the uniform-weight dephasing parameter p.
 
-    Each sign-flip operator occupies p * n_frames / d frames and the
-    identity fills the rest; the identity block leads and the operator
-    blocks follow in ascending index.  Off-grid p is rejected with the two
-    nearest representable values.
+    Each sign-flip operator occupies p * n_frames / 4 frames (its weight p/4)
+    and the identity fills the rest; the identity block leads and the
+    operator blocks follow in ascending index.  Off-grid p is rejected with
+    the two nearest representable values.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    per_op = p * n_frames / d
+    per_op = _uniform_flip_weight(d, p) * n_frames
     k = round(per_op)
-    if abs(per_op - k) > 1e-9 or k * d > n_frames:
-        step = d / n_frames
-        below = math.floor(per_op) * step
-        above = min(math.ceil(per_op) * step, 1.0)
+    if abs(per_op - k) > 1e-9:
+        k_max = n_frames // max(d, 4)  # the grid: 4k / n_frames with d k, 4 k <= n_frames
+        below, above = (4 * min(j, k_max) / n_frames for j in (math.floor(per_op), math.ceil(per_op)))
         raise NonRepresentableP(p, below, above)
     frames = [d] * (n_frames - k * d)
     for j in range(d):

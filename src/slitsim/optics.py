@@ -90,19 +90,26 @@ def _pair_terms(geom: OpticalGeometry, rho0: DensityMatrix):
 
 
 def _envelope_and_fringe(geom: OpticalGeometry, rho0: DensityMatrix, x_i, x_s):
-    """Envelope E and fringe sum G with P = scale * E * (1 + (1-p) G)."""
+    """Envelope E and fringe sum G with P = scale * E * (1 + (1-p) G);
+    positions whose arguments overflow or are not finite raise ValueError."""
     k, a, d, f = geom.wave_number, geom.half_slit_width, geom.slit_separation, geom.focal_length
     beta = geom.beta
     x_i = np.asarray(x_i, dtype=float)
     x_s = np.asarray(x_s, dtype=float)
-    env = _sinc(k * a * x_i / f) ** 2 * _sinc(k * a * x_s / (f * beta)) ** 2
-    fringe = np.zeros(np.broadcast(x_i, x_s).shape)
-    for n, mod, phase, det in _pair_terms(geom, rho0):
-        if mod == 0.0:
-            continue
-        fringe = fringe + mod * det * np.cos(
-            n * k * d * x_i / f - n * k * d * x_s / (f * beta) + phase
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        env = _sinc(k * a * x_i / f) ** 2 * _sinc(k * a * x_s / (f * beta)) ** 2
+        fringe = np.zeros(np.broadcast(x_i, x_s).shape)
+        for n, mod, phase, det in _pair_terms(geom, rho0):
+            if mod == 0.0:
+                continue
+            fringe = fringe + mod * det * np.cos(
+                n * k * d * x_i / f - n * k * d * x_s / (f * beta) + phase
+            )
+        bad = ~np.isfinite(env + fringe)  # E and G are bounded where the arguments are finite
+    if bad.any():
+        x_i, x_s = np.broadcast_arrays(x_i, x_s)
+        raise ValueError(f"pattern arguments are not finite at {int(bad.sum())} of {bad.size} positions, "
+                         f"first at x_i = {x_i[bad][0]:.6g} mm, x_s = {x_s[bad][0]:.6g} mm")
     return env, fringe
 
 

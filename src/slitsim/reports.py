@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import apply_channel
+from .datasets import MEASURED_CONCURRENCE
 from .experiment import (
     CountsTable,
     SlitStatePrep,
@@ -51,7 +52,6 @@ def dephasing_recovery_report(
     seed: int,
     peak_counts: float = 500.0,
     noiseless: bool = False,
-    geom: OpticalGeometry | None = None,
 ) -> tuple[str, bool]:
     """Film -> channel -> synthetic scans -> fit, for every grid value of p.
 
@@ -60,7 +60,7 @@ def dephasing_recovery_report(
     each standard signal position (0 and the anti-fringe point), and fits p
     back out.  A cell passes when |p_hat - p_predicted| <= 3 sigma.
     """
-    geom = geom or OpticalGeometry()
+    geom = OpticalGeometry()
     rho0 = anti_correlated_block(prepare_state(SlitStatePrep.uniform(FILM_DIMENSION)))
     positions = report_scan_positions()
     fixed = (("x=0", 0.0), ("x=x_pi", x_pi(geom)))
@@ -110,7 +110,6 @@ def damping_series_report(
     *,
     seed: int,
     n_resamples: int = 1000,
-    reference: dict[float, tuple[float, float]] | None = None,
 ) -> tuple[str, bool]:
     """Per-column state reconstruction, concurrence, and population summary.
 
@@ -120,10 +119,6 @@ def damping_series_report(
     values where available; any absolute difference above
     CONCURRENCE_FLAG_THRESHOLD is flagged.
     """
-    if reference is None:
-        from .datasets import MEASURED_CONCURRENCE
-        reference = MEASURED_CONCURRENCE
-
     lines = [
         "damping-series concurrence reconstruction",
         f"bootstrap: {n_resamples} Poisson resamples per column, seed {seed}",
@@ -143,7 +138,7 @@ def damping_series_report(
         conc = i_concurrence(state)
         sigma = concurrence_uncertainty(table, seed=child_seed(seed, col), n_resamples=n_resamples)
         sig_pop, _ = populations(table)
-        ref = reference.get(round(table.gamma_t, 6)) if table.gamma_t is not None else None
+        ref = MEASURED_CONCURRENCE.get(round(table.gamma_t, 6)) if table.gamma_t is not None else None
         if ref is None:
             ref_txt, delta_txt, flag = "n/a          ", "n/a     ", ""
         else:

@@ -137,10 +137,8 @@ def test_kraus_set_rejects_incomplete_sets():
     scaled = 0.5 * np.eye(2)
     from slitsim.qcore import ComplexOperator
 
-    # sub-identity completeness is fine when flagged as a filter
-    WeightedKrausSet((ComplexOperator(scaled),), (1.0,), trace_preserving=False)
     with pytest.raises(ValueError):
-        WeightedKrausSet((ComplexOperator(scaled),), (1.0,), trace_preserving=True)
+        WeightedKrausSet((ComplexOperator(scaled),), (1.0,))
 
 
 def test_apply_channel_dimension_mismatch():

@@ -1,10 +1,16 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slitsim
 from slitsim.cli import main
-from slitsim.fileio import parse_film, parse_scan, parse_state
+from slitsim.fileio import format_scan, parse_film, parse_scan, parse_state
+from slitsim.optics import OpticalGeometry, PatternScan
 from slitsim.qcore import DensityMatrix, PureBipartiteState, i_concurrence
 
 
@@ -133,6 +139,27 @@ def test_film_full_strength(tmp_path):
     assert film.operator_counts() == [8, 8, 8, 8, 0]
 
 
+def test_film_and_dephase_agree_on_p_off_d4(tmp_path, capsys):
+    # one meaning of p: each flip weighs p/4 and coherences scale by 1 - p at any d
+    assert run("film", "--d", 3, "--p", 0.375, "--out", tmp_path / "film.txt") == 0
+    assert "operator weights: [0.09375, 0.09375, 0.09375]" in capsys.readouterr().out
+    state = tmp_path / "state.txt"
+    run("prepare", "--d", 3, "--uniform", "--out", state)
+    out = tmp_path / "rho.txt"
+    assert run("dephase", "--state", state, "--p", 0.375, "--out", out) == 0
+    assert "(1 - p) = 0.625" in capsys.readouterr().out
+    rho = parse_state(out.read_text()).matrix
+    off = ~np.eye(3, dtype=bool)
+    assert np.allclose(rho[off], 0.625 / 3, rtol=0, atol=1e-15)
+
+
+def test_film_rejects_p_above_four_over_d(tmp_path, capsys):
+    assert run("film", "--d", 6, "--p", 0.75, "--out", tmp_path / "f.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "p <= 4/d" in err[0]
+    assert not (tmp_path / "f.txt").exists()
+
+
 def test_damp_zero_time(tmp_path, capsys):
     state = tmp_path / "state.txt"
     run("prepare", "--d", 3, "--amps", "0.2771,0.5420,0.7934", "--out", state)
@@ -204,6 +231,28 @@ def test_pattern_at_xpi(tmp_path, capsys):
     assert run("pattern", "--p", 0.5, "--at-xpi", "--seed", 3, "--out", scan_path) == 0
     scan, geom = parse_scan(scan_path.read_text())
     assert scan.fixed_position == pytest.approx(0.1761, abs=1e-4)
+
+
+@pytest.mark.parametrize("command", ["pattern", "fit-p"])
+def test_far_tail_positions_give_one_error_line(tmp_path, command):
+    # positions near 1e306 mm overflow the pattern's phase arguments
+    if command == "pattern":
+        args = ["pattern", "--p", "0.5", "--seed", "1", "--start-mm", "1e306",
+                "--stop-mm", "2e306", "--points", "9", "--out", str(tmp_path / "scan.txt")]
+    else:
+        scan = PatternScan("signal", 0.0, np.linspace(1e306, 2e306, 9), np.arange(9.0) + 1.0)
+        (tmp_path / "scan.txt").write_text(format_scan(scan, OpticalGeometry()))
+        args = ["fit-p", "--scan", str(tmp_path / "scan.txt")]
+    # a fresh interpreter shows what a user sees, numpy warnings included
+    src = str(Path(slitsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "slitsim.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: pattern arguments are not finite")
+    assert "x_i = 1e+306 mm" in err[0]
 
 
 def test_reproduce_table1_noiseless(tmp_path, capsys):

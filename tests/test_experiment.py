@@ -53,8 +53,6 @@ def test_prepare_validation():
         SlitStatePrep(3, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         SlitStatePrep(3, (1.0, -0.2, 0.0))
-    with pytest.raises(ValueError):
-        prepare_state(SlitStatePrep.uniform(3), pairing="correlated")
 
 
 def test_sagnac_schedule_values():

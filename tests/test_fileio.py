@@ -97,8 +97,8 @@ def test_film_round_trip():
 
 
 def test_film_phases_within_tolerance():
-    film = parse_film("d 2\nn_frames 2\n2 -0.0 0\n0 3.1415926535898 0\n")
-    assert film.frames == (2, 0)
+    film = parse_film("d 2\nn_frames 4\n2 -0.0 0\n0 3.1415926535898 0\n1 0 3.1415926535898\n2 0 -0.0\n")
+    assert film.frames == (2, 0, 1, 2)
 
 
 def test_scan_round_trip():
@@ -242,3 +242,15 @@ def test_parsers_reject_mutated_documents_with_value_error(name, data):
 def test_parsers_reject_non_finite_and_oversized_values(parser, text):
     with pytest.raises(ValueError):
         parser(text)
+
+
+@pytest.mark.parametrize("frame_lines", [
+    "2 0 0\n0 0 3.141592653589793\n1 0 3.141592653589793\n2 0 0\n",  # pi at the wrong slit
+    "2 3.141592653589793 0\n0 3.141592653589793 0\n1 0 3.141592653589793\n2 0 0\n",  # pi on identity
+    "2 nan 0\n0 3.141592653589793 0\n1 0 3.141592653589793\n2 0 0\n",
+    "2 0 0\n0 3.141592653589793 0\n1 0 inf\n2 0 0\n",
+])
+def test_parse_film_checks_the_phases_of_a_valid_schedule(frame_lines):
+    # frames (2, 0, 1, 2) are a valid d = 2 schedule, so only the phases are wrong
+    with pytest.raises(ValueError, match="phases differ from its mask"):
+        parse_film("d 2\nn_frames 4\n" + frame_lines)

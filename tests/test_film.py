@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slitsim.channels import apply_channel, dephasing_channel
+from conftest import random_density
+from slitsim.channels import apply_channel, dephasing_channel, uniform_dephasing_channel
 from slitsim.experiment import SlitStatePrep, anti_correlated_block, prepare_state
+from slitsim.fileio import parse_film
 from slitsim.film import FilmSchedule, NonRepresentableP, compile_film, effective_channel, mask_phases
 
 P_GRID = [i / 8 for i in range(9)]
@@ -129,3 +131,86 @@ def test_schedule_validation():
         FilmSchedule(4, 3, (0, 1))  # length mismatch
     with pytest.raises(ValueError):
         FilmSchedule(4, 2, (0, 5))  # index out of range
+
+
+# ------------------------------------------------ one meaning of p at every d
+
+FRAME_COUNTS = (8, 12, 30, 32)
+
+
+def _grid(d: int, n_frames: int) -> list[float]:
+    """Every representable p: 4k / n_frames with d k <= n_frames and 4 k <= n_frames."""
+    return [4 * k / n_frames for k in range(n_frames // max(d, 4) + 1)]
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+def test_film_channel_is_the_uniform_dephasing_channel(d, n_frames):
+    rng = np.random.default_rng([d, n_frames])
+    rhos = [random_density(rng, d) for _ in range(3)]
+    off = ~np.eye(d, dtype=bool)
+    for p in _grid(d, n_frames):
+        film_chan = effective_channel(compile_film(d, p, n_frames))
+        chan = uniform_dephasing_channel(d, p)
+        for rho in rhos:
+            got = apply_channel(film_chan, rho).matrix
+            assert np.max(np.abs(got - apply_channel(chan, rho).matrix)) <= 1e-15
+            assert np.allclose(got[off], (1.0 - p) * rho.matrix[off], rtol=0, atol=1e-15)
+
+
+def test_film_flip_weight_is_p_over_four_off_d4():
+    # d = 3, p = 0.375: 3 of 32 frames per flip, coherences scaled by 0.625
+    film = compile_film(3, 0.375, 32)
+    assert film.operator_counts() == [3, 3, 3, 23]
+    assert effective_channel(film).weights[:3] == (0.09375,) * 3
+
+
+def test_compile_rejects_p_above_four_over_d():
+    with pytest.raises(ValueError, match=r"p <= 4/d"):
+        compile_film(6, 0.75, 32)
+    assert compile_film(6, 0.625, 32).operator_counts()[:6] == [5] * 6
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+def test_reported_neighbours_are_representable(d, n_frames):
+    bound = min(1.0, 4 / d)
+    off_grid = [p for p in (0.13, 0.3, 0.55, 0.8, 1.0, bound - 1e-3) if p <= bound]
+    grid = _grid(d, n_frames)
+    for p in off_grid:
+        if any(abs(p - g) < 1e-12 for g in grid):
+            continue
+        with pytest.raises(NonRepresentableP) as err:
+            compile_film(d, p, n_frames)
+        for neighbour in (err.value.below, err.value.above):
+            assert neighbour <= bound
+            compile_film(d, neighbour, n_frames)
+        assert err.value.below <= p
+
+
+@pytest.mark.parametrize("d, n_frames, p, nearest", [
+    (4, 30, 1.0, 28 / 30),
+    (2, 30, 1.0, 28 / 30),
+    (5, 32, 0.8, 0.75),
+])
+def test_rejected_p_names_only_representable_values(d, n_frames, p, nearest):
+    with pytest.raises(NonRepresentableP) as err:
+        compile_film(d, p, n_frames)
+    assert err.value.below == err.value.above == pytest.approx(nearest)
+    assert f"nearest representable value is {nearest:.6g}" in str(err.value)
+    compile_film(d, err.value.above, n_frames)
+
+
+@pytest.mark.parametrize("d, n_frames, frames", [
+    (4, 4, (0, 4, 4, 4)),  # only slit 0 flips
+    (2, 2, (0, 1)),  # p would be 4 * 1 / 2 = 2
+])
+def test_schedule_needs_one_p(d, n_frames, frames):
+    with pytest.raises(ValueError):
+        FilmSchedule(d, n_frames, frames)
+    text = f"d {d}\nn_frames {n_frames}\n" + "".join(
+        f"{op} " + " ".join("3.141592653589793" if s == op else "0" for s in range(d)) + "\n"
+        for op in frames
+    )
+    with pytest.raises(ValueError):
+        parse_film(text)

@@ -200,6 +200,24 @@ def test_far_tail_scan_is_degenerate(start):
         fit_p(scan, GEOM, RHO0)
 
 
+@pytest.mark.parametrize("fixed_arm", ["signal", "idler"])
+def test_overflowing_positions_are_named(fixed_arm):
+    xs = np.linspace(1e306, 2e306, 9)
+    with pytest.raises(ValueError, match=r"not finite at 9 of 9 positions, first at"):
+        synthesize_scan(GEOM, RHO0, 0.5, fixed_arm, 0.0, xs, 500.0, seed=1)
+    scan = PatternScan(fixed_arm, 0.0, xs, np.full(9, 100.0))
+    with pytest.raises(ValueError, match=r"x_[is] = 1e\+306 mm") as err:
+        fit_p(scan, GEOM, RHO0)
+    assert not isinstance(err.value, DegenerateScanError)
+
+
+def test_non_finite_pattern_position_is_rejected():
+    with pytest.raises(ValueError, match=r"1 of 1 positions, first at x_i = nan mm"):
+        pattern_intensity(GEOM, RHO0, 0.5, math.nan, 0.0)
+    with pytest.raises(ValueError, match=r"1 of 3 positions"):
+        pattern_intensity(GEOM, RHO0, 0.5, 0.0, np.array([0.0, math.inf, 0.1]))
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         PatternScan("signal", 0.0, np.linspace(0, 1, 5), np.ones(5))  # too few samples
