@@ -178,18 +178,21 @@ def populations(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     return signal, idler
 
 
+# one draw holds every resample: 10^6 3x3 int64 tables are 72 MB
+MAX_RESAMPLES = 10**6
+
+
 def concurrence_uncertainty(table: CountsTable, *, seed: int, n_resamples: int = 1000) -> float:
     """Parametric-bootstrap standard deviation of the reconstructed concurrence.
 
-    Resample r redraws every cell as Poisson(N_ij) from stream (seed, r) and
-    all-zero resamples are dropped.  Draws of a validated table need no checks
-    of their own, so the survivors are evaluated as one stack.
+    One Poisson(N_ij) draw of shape (n_resamples, *counts.shape) from stream
+    seed holds every resample, resample r in slab r (so prefix-stable in
+    n_resamples), and all-zero resamples are dropped.  Draws of a validated
+    table need no checks of their own, so the survivors are one stack.
     """
-    if n_resamples < 2:
-        raise ValueError("need at least two resamples")
-    draws = np.empty((n_resamples, *table.counts.shape), dtype=np.int64)
-    for r in range(n_resamples):
-        draws[r] = derive_rng(seed, r).poisson(table.counts)
+    if not 2 <= n_resamples <= MAX_RESAMPLES:
+        raise ValueError(f"n_resamples must lie in [2, {MAX_RESAMPLES}], got {n_resamples}")
+    draws = derive_rng(seed).poisson(table.counts, size=(n_resamples, *table.counts.shape))
     draws = draws[draws.any(axis=(1, 2))]
     if len(draws) < 2:
         raise ValueError(

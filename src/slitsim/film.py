@@ -17,6 +17,8 @@ from fractions import Fraction
 from .channels import WeightedKrausSet, _uniform_flip_weight, dephasing_kraus
 
 DEFAULT_FRAMES = 32
+# a film stores one index per frame and formats to one line per frame
+MAX_FRAMES = 1 << 16
 
 
 class NonRepresentableP(ValueError):
@@ -45,8 +47,8 @@ class FilmSchedule:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
-        if self.n_frames < 1:
-            raise ValueError("need at least one frame")
+        if not 1 <= self.n_frames <= MAX_FRAMES:
+            raise ValueError(f"n_frames must lie in [1, {MAX_FRAMES}], got {self.n_frames}")
         frames = tuple(map(int, self.frames))
         if len(frames) != self.n_frames:
             raise ValueError(f"expected {self.n_frames} frames, got {len(frames)}")
@@ -78,8 +80,8 @@ def compile_film(d: int, p: float, n_frames: int = DEFAULT_FRAMES) -> FilmSchedu
     operator blocks follow in ascending index.  Off-grid p is rejected with
     the two nearest representable values.
     """
-    if n_frames < 1:
-        raise ValueError("need at least one frame")
+    if not 1 <= n_frames <= MAX_FRAMES:  # before the frame list is built
+        raise ValueError(f"n_frames must lie in [1, {MAX_FRAMES}], got {n_frames}")
     per_op = _uniform_flip_weight(d, p) * n_frames
     k = round(per_op)
     if abs(per_op - k) > 1e-9:

@@ -160,6 +160,14 @@ def test_film_rejects_p_above_four_over_d(tmp_path, capsys):
     assert not (tmp_path / "f.txt").exists()
 
 
+@pytest.mark.parametrize("n_frames", [0, 65537, 10**12])
+def test_film_rejects_frame_counts_outside_the_cap(tmp_path, capsys, n_frames):
+    assert run("film", "--d", 4, "--p", 0.5, "--n-frames", n_frames, "--out", tmp_path / "f.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "n_frames must lie in [1, 65536]" in err[0]
+    assert not (tmp_path / "f.txt").exists()
+
+
 def test_damp_zero_time(tmp_path, capsys):
     state = tmp_path / "state.txt"
     run("prepare", "--d", 3, "--amps", "0.2771,0.5420,0.7934", "--out", state)
@@ -323,8 +331,8 @@ def test_reproduce_table2_rejects_counts_beyond_int64(tmp_path, capsys, rows):
 
 
 @pytest.mark.parametrize("args, digest", [
-    (("--seed", 5, "--resamples", 400), "637cd658418c9334515076e9d6a0c2b9033a83aab34fdf95ce2dee36f93a7859"),
-    (("--seed", 0), "d154356d8822de0bea2b0361194f4364ee80cb5a8a61fac49c04bf8b33d807e9"),
+    (("--seed", 5, "--resamples", 400), "0c9ef6b85dcfd8d72f85060061b11da19ad271aba72609f8a0a92543551fd4eb"),
+    (("--seed", 0), "c1eb30c635df13c6f15a306b3699c3fe45d59df20dfe45fa8ee8f0064141a9e7"),
 ], ids=["seed5-400", "seed0-1000"])
 def test_reproduce_table2_bytes_are_pinned(tmp_path, capsys, args, digest):
     report = tmp_path / "report.txt"
@@ -341,6 +349,19 @@ def test_reproduce_table2_too_few_non_empty_resamples(tmp_path, capsys):
                "--out", tmp_path / "r.txt") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "0 of 2" in err[0]
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("resamples", [1, 1_000_001, 100_000_000_000])
+def test_reproduce_table2_rejects_resamples_outside_the_cap(tmp_path, capsys, monkeypatch, resamples):
+    def no_draw(*key):
+        raise AssertionError("drew resamples past the cap")
+
+    monkeypatch.setattr("slitsim.experiment.derive_rng", no_draw)
+    assert run("reproduce-table2", "--seed", 5, "--resamples", resamples, "--out", tmp_path / "r.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"n_resamples must lie in [2, 1000000], got {resamples}" in err[0]
     assert not (tmp_path / "r.txt").exists()
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_schmidt_qutrit
+from slitsim import experiment
 from slitsim.datasets import MEASURED_CONCURRENCE, damping_counts
 from slitsim.dynamics import no_jump_conditional_state, no_jump_survival
 from slitsim.experiment import (
@@ -18,8 +19,9 @@ from slitsim.experiment import (
     sagnac_schedule,
     simulate_counts,
 )
+from slitsim.qcore import _i_concurrence as i_concurrence_stack
 from slitsim.qcore import i_concurrence
-from slitsim.rng import derive_rng
+from slitsim.rng import child_seed, derive_rng
 
 TABLE2_INITIAL_AMPS = (0.2771, 0.5420, 0.7934)
 
@@ -180,9 +182,9 @@ def test_concurrence_uncertainty_deterministic():
 
 def _per_resample_sigma(table: CountsTable, seed: int, n_resamples: int) -> float:
     """One validated table, state and concurrence per resample, all-zero draws dropped."""
+    draws = derive_rng(seed).poisson(table.counts, size=(n_resamples, *table.counts.shape))
     values = []
-    for r in range(n_resamples):
-        redrawn = derive_rng(seed, r).poisson(table.counts)
+    for redrawn in draws:
         if redrawn.sum() == 0:
             continue
         values.append(i_concurrence(reconstruct_state(CountsTable(redrawn))))
@@ -197,6 +199,62 @@ def test_concurrence_uncertainty_matches_per_resample_oracle(n_resamples):
         for seed in (0, 7, 12345):
             got = concurrence_uncertainty(table, seed=seed, n_resamples=n_resamples)
             assert got == pytest.approx(_per_resample_sigma(table, seed, n_resamples), abs=1e-15)
+
+
+def _v1_sigma(table: CountsTable, seed: int, n_resamples: int) -> float:
+    """The earlier stream contract: resample r from its own stream (seed, r)."""
+    draws = np.array([derive_rng(seed, r).poisson(table.counts) for r in range(n_resamples)])
+    draws = draws[draws.any(axis=(1, 2))]
+    return float(np.std(i_concurrence_stack(np.sqrt(draws / draws.sum(axis=(1, 2), keepdims=True)))))
+
+
+def test_concurrence_uncertainty_agrees_with_v1_streams_within_monte_carlo_error():
+    # Each sigma estimate carries a relative Monte Carlo error of ~1/sqrt(2R)
+    # (Efron & Tibshirani 1993, normal approximation), so the relative
+    # difference of two independent estimates has standard deviation ~1/sqrt(R).
+    # Over N (seed, column) pairs the mean difference then has standard error
+    # 1/sqrt(R N): the mean must sit within 4 of those of 0 and every pair
+    # within 5 standard deviations, 5/sqrt(R).
+    n_resamples = 400
+    rel = np.array([
+        concurrence_uncertainty(table, seed=child_seed(seed, col), n_resamples=n_resamples)
+        / _v1_sigma(table, child_seed(seed, col), n_resamples) - 1.0
+        for seed in range(20)
+        for col, table in enumerate(damping_counts())
+    ])
+    assert abs(rel.mean()) <= 4.0 / np.sqrt(n_resamples * len(rel))
+    assert np.max(np.abs(rel)) <= 5.0 / np.sqrt(n_resamples)
+
+
+@pytest.mark.parametrize("short", [37, 400])
+def test_concurrence_uncertainty_draws_are_prefix_stable(monkeypatch, short):
+    # the stacks handed to the concurrence pass are the surviving resamples
+    stacks = []
+
+    def record(amplitudes):
+        stacks.append(amplitudes)
+        return i_concurrence_stack(amplitudes)
+
+    monkeypatch.setattr(experiment, "_i_concurrence", record)
+    for table in damping_counts() + [CountsTable(np.eye(3, dtype=int))]:
+        for seed in (0, 7):
+            stacks.clear()
+            concurrence_uncertainty(table, seed=seed, n_resamples=1000)
+            concurrence_uncertainty(table, seed=seed, n_resamples=short)
+            full, prefix = stacks
+            kept = derive_rng(seed).poisson(table.counts, size=(short, 3, 3)).any(axis=(1, 2)).sum()
+            assert len(prefix) == kept
+            np.testing.assert_array_equal(prefix, full[:kept])
+
+
+@pytest.mark.parametrize("n_resamples", [1, experiment.MAX_RESAMPLES + 1, 10**11])
+def test_concurrence_uncertainty_caps_resamples_before_drawing(monkeypatch, n_resamples):
+    def no_draw(*key):
+        raise AssertionError("drew resamples past the cap")
+
+    monkeypatch.setattr(experiment, "derive_rng", no_draw)
+    with pytest.raises(ValueError, match=rf"n_resamples must lie in \[2, {experiment.MAX_RESAMPLES}\]"):
+        concurrence_uncertainty(table_at(0.0), seed=1, n_resamples=n_resamples)
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,7 +9,14 @@ from conftest import random_density
 from slitsim.channels import apply_channel, dephasing_channel, uniform_dephasing_channel
 from slitsim.experiment import SlitStatePrep, anti_correlated_block, prepare_state
 from slitsim.fileio import parse_film
-from slitsim.film import FilmSchedule, NonRepresentableP, compile_film, effective_channel, mask_phases
+from slitsim.film import (
+    MAX_FRAMES,
+    FilmSchedule,
+    NonRepresentableP,
+    compile_film,
+    effective_channel,
+    mask_phases,
+)
 
 P_GRID = [i / 8 for i in range(9)]
 
@@ -214,3 +221,14 @@ def test_schedule_needs_one_p(d, n_frames, frames):
     )
     with pytest.raises(ValueError):
         parse_film(text)
+
+
+def test_frame_count_is_capped_before_any_frame_list_is_built():
+    assert compile_film(4, 0.5, MAX_FRAMES).n_frames == MAX_FRAMES
+    for n_frames in (0, MAX_FRAMES + 1, 10**12):
+        with pytest.raises(ValueError, match=rf"n_frames must lie in \[1, {MAX_FRAMES}\], got {n_frames}"):
+            compile_film(4, 0.5, n_frames)
+        with pytest.raises(ValueError, match="n_frames must lie in"):
+            FilmSchedule(4, n_frames, ())
+        with pytest.raises(ValueError, match="n_frames must lie in"):
+            parse_film(f"d 4\nn_frames {n_frames}\n4 0 0 0 0\n")
