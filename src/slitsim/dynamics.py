@@ -14,6 +14,7 @@ select that reading.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,12 @@ from .rng import derive_rng
 # jump/no-jump split valid.
 STEP_PROBABILITY_BOUND = 1e-2
 
+# Most fixed steps one integration or trajectory ensemble may take; the step
+# count is checked against it before anything is allocated.
+MAX_STEPS = 2**20
+
 # Largest block of per-trajectory uniforms that run_trajectories holds at once.
-_UNIFORM_BLOCK_BYTES = 8 * 2**20
+_UNIFORM_BLOCK_BYTES = 2**20
 
 AMPLITUDE = "amplitude"
 POPULATION = "population"
@@ -85,8 +90,8 @@ class DampingModel:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dimension must be >= 2, got {self.dim}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,18 @@ def _check_step(max_rate: float, dim: int, dt: float):
         )
 
 
+def _step_count(t: float, dt: float) -> int:
+    """Number of equal steps of at most dt that cover [0, t], at most MAX_STEPS."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    # compared as a product: t / dt may overflow
+    if t > MAX_STEPS * dt:
+        raise ValueError(f"t/dt = {float(t) / float(dt):.3g} exceeds the {MAX_STEPS} steps allowed")
+    return max(1, math.ceil(t / dt - 1e-12))
+
+
 def annihilation(dim: int) -> ComplexOperator:
     """Truncated lowering operator: a|n> = sqrt(n)|n-1>."""
     if dim < 2:
@@ -130,46 +147,54 @@ def lindblad_rhs(model: LindbladModel, rho: DensityMatrix) -> ComplexOperator:
     """d(rho)/dt: commutator part plus dissipators; traceless and Hermitian."""
     if model.dim != rho.dim:
         raise ValueError("dimension mismatch")
-    return ComplexOperator(_rhs_raw(model.hamiltonian.matrix, _dissipators(model), rho.matrix))
+    return ComplexOperator(_generator(model)(rho.matrix))
 
 
-def _dissipators(model: LindbladModel) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """(rate, a, a+, a+ a) for every Lindblad operator, built once per integration."""
-    terms = []
+def _generator(model: LindbladModel):
+    """The Lindblad generator in K form, L(x) = K x + x K+ + sum_c c x c+.
+
+    K = -i H - 1/2 sum g a+ a is the non-Hermitian effective Hamiltonian and
+    c = sqrt(g) a runs over the jump operators; the operators are built once.
+    """
+    k = -1j * model.hamiltonian.matrix
+    jumps = []
     for op, g in model.lindblad_ops:
-        a = op.matrix
-        a_dag = a.conj().T
-        terms.append((g, a, a_dag, a_dag @ a))
-    return terms
+        c = math.sqrt(g) * op.matrix
+        c_dag = c.conj().T
+        k = k - 0.5 * (c_dag @ c)
+        jumps.append((c, c_dag))
+    k_dag = k.conj().T
 
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = k @ x + x @ k_dag
+        for c, c_dag in jumps:
+            out += c @ x @ c_dag
+        return out
 
-def _rhs_raw(h: np.ndarray, dissipators, rho: np.ndarray) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    for g, a, a_dag, ada in dissipators:
-        out = out + g * (a @ rho @ a_dag - 0.5 * (ada @ rho + rho @ ada))
-    return out
+    return apply
 
 
 def integrate_master(model: LindbladModel, rho0: DensityMatrix, t: float, dt: float) -> DensityMatrix:
-    """Fixed-step classical 4th-order integration of the master equation."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    """Fixed-step classical 4th-order integration of the master equation.
+
+    Each step applies the RK4 polynomial in Horner form,
+    r + h L(r + h/2 L(r + h/3 L(r + h/4 L r))), which for the constant
+    linear generator L equals the four classical stages.
+    """
+    steps = _step_count(t, dt)
     if model.dim != rho0.dim:
         raise ValueError("dimension mismatch")
     _check_step(model.max_rate, model.dim, dt)
     if t == 0:
         return rho0
-    steps = max(1, int(np.ceil(t / dt - 1e-12)))
     h = t / steps
-    ham = model.hamiltonian.matrix
-    terms = _dissipators(model)
+    gen = _generator(model)
     r = rho0.matrix.copy()
     for _ in range(steps):
-        k1 = _rhs_raw(ham, terms, r)
-        k2 = _rhs_raw(ham, terms, r + 0.5 * h * k1)
-        k3 = _rhs_raw(ham, terms, r + 0.5 * h * k2)
-        k4 = _rhs_raw(ham, terms, r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = r + (h / 4.0) * gen(r)
+        x = r + (h / 3.0) * gen(x)
+        x = r + (h / 2.0) * gen(x)
+        r = r + h * gen(x)
     # re-validation doubles as the dt-too-large signal
     return DensityMatrix(0.5 * (r + r.conj().T))
 
@@ -221,51 +246,58 @@ def _class_states(v0: np.ndarray, gamma_h: float, jumps: int, calm: np.ndarray) 
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
-def _jump_counts(dp: np.ndarray, seed: int, n: int) -> np.ndarray:
-    """Jumps taken by trajectories 0..n-1 under the first-order step rule.
+def _jump_counts(dp: np.ndarray, dim: int, seed: int, n: int) -> np.ndarray:
+    """N_j, how many of n trajectories take j jumps under the step rule, j = 0..len(dp).
 
-    Trajectory k with j jumps so far jumps at step s iff u[k, s] < dp[j, s],
-    where u[k] = derive_rng(seed, k).random(steps).  The uniforms are drawn
-    in blocks of whole trajectories of at most _UNIFORM_BLOCK_BYTES; within a
-    block, each jump level is one vectorized search for the first hit after
-    the step at which the trajectory reached that level.
+    The step rule jumps at step s with probability dp[j, s] while j jumps
+    have been taken.  Trajectory k reads row k of one
+    derive_rng(seed).random((n, dim - 1)) draw, and its uniform j sets the
+    step of its (j+1)-th jump by inverting the survival: it jumps at the
+    first step s >= start with prod_{start <= s' <= s} (1 - dp[j, s']) < u,
+    start being the step after its j-th jump.  That is the law of drawing
+    a fresh uniform against dp at every step.  The rows are drawn in
+    blocks of whole rows from the one generator, which gives the bytes of
+    a single draw while memory stays bounded in n.
     """
     max_jumps, steps = dp.shape
-    rows = max(1, _UNIFORM_BLOCK_BYTES // (8 * steps))
-    buf = np.empty((min(rows, n), steps))
-    cols = np.arange(steps)
-    counts = np.zeros(n, dtype=np.intp)
+    rows = max(1, _UNIFORM_BLOCK_BYTES // (8 * (dim - 1)))
+    # survival[j, s] = -log prod_{s' < s} (1 - dp[j, s']), non-decreasing in s
+    survival = np.zeros((max_jumps, steps + 1))
+    np.cumsum(-np.log1p(-dp), axis=1, out=survival[:, 1:])
+    rng = derive_rng(seed)
+    hist = np.zeros(max_jumps + 1, dtype=np.int64)
     for lo in range(0, n, rows):
-        u = buf[: min(rows, n - lo)]
-        for i, row in enumerate(u):
-            derive_rng(seed, lo + i).random(out=row)
+        u = rng.random((min(rows, n - lo), dim - 1))
+        with np.errstate(divide="ignore"):  # u = 0 never jumps
+            threshold = -np.log(u[:, :max_jumps])
         live = np.arange(len(u))
         start = np.zeros(len(u), dtype=np.intp)
+        jumps = np.zeros(len(u), dtype=np.intp)
         for j in range(max_jumps):
-            hits = (u[live] < dp[j]) & (cols >= start[:, None])
-            first = hits.argmax(axis=1)
-            jumped = hits[np.arange(len(live)), first]
-            live, start = live[jumped], first[jumped] + 1
-            counts[lo + live] += 1
+            # after = s + 1 for the jump step s; after = steps + 1 means no further jump
+            after = np.searchsorted(survival[j], survival[j, start] + threshold[live, j], side="right")
+            jumped = after <= steps
+            live, start = live[jumped], after[jumped]
+            jumps[live] += 1
             if not live.size:
                 break
-    return counts
+        hist += np.bincount(jumps, minlength=max_jumps + 1)
+    return hist
 
 
 def run_trajectories(model: DampingModel, psi0: np.ndarray, t: float, cfg: TrajectoryConfig) -> DensityMatrix:
     """Ensemble average of |psi><psi| over stochastic jump/no-jump unravelings.
 
-    Trajectory k draws its uniforms from the stream (seed, k), so the result
-    is reproducible and independent of evaluation order.  The jump decision
-    per step is first order: jump iff u < dp with dp = 2 gamma <a+ a> dt.
+    Trajectory k reads row k of one derive_rng(cfg.seed) draw of dim - 1
+    uniforms per trajectory, so the result is reproducible and a prefix of
+    the trajectories is independent of how many follow.  The jump decision
+    per step is first order: jump with probability dp = 2 gamma <a+ a> dt.
 
     With H = 0 and the single jump operator a, a trajectory's state after s
     steps with j jumps is normalize(a^j exp(-gamma h N (s - j)) psi0),
     whatever the order of its jumps.  So dp is tabulated once per (j, s),
     each trajectory is reduced to its jump count, and the ensemble is
-    averaged over the final state of each count.  The uniforms are held for
-    a bounded block of trajectories at a time, so memory does not grow with
-    n_trajectories * steps.
+    sum_j (N_j / n) |psi_j><psi_j| over the final state psi_j of each count.
     """
     v0 = np.asarray(psi0, dtype=np.complex128)
     if v0.shape != (model.dim,):
@@ -274,13 +306,11 @@ def run_trajectories(model: DampingModel, psi0: np.ndarray, t: float, cfg: Traje
     if norm == 0:
         raise ValueError("initial state is zero")
     v0 = v0 / norm
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    steps = _step_count(t, cfg.dt)
     _check_step(2.0 * model.gamma, model.dim, cfg.dt)
     if t == 0 or model.gamma == 0:
         return DensityMatrix.from_vector(v0)
 
-    steps = max(1, int(np.ceil(t / cfg.dt - 1e-12)))
     h = t / steps
     gamma_h = model.gamma * h
     levels = np.arange(model.dim, dtype=float)
@@ -291,14 +321,13 @@ def run_trajectories(model: DampingModel, psi0: np.ndarray, t: float, cfg: Traje
     for j in range(max_jumps):
         n_mean = np.abs(_class_states(v0, gamma_h, j, np.arange(steps - j))) ** 2 @ levels
         dp[j, j:] = 2.0 * model.gamma * h * n_mean
-    counts = _jump_counts(dp, cfg.seed, cfg.n_trajectories)
+    weights = _jump_counts(dp, model.dim, cfg.seed, cfg.n_trajectories) / cfg.n_trajectories
 
     # a count above steps never occurs; clamping q keeps its unused row finite
     final = np.concatenate(
         [_class_states(v0, gamma_h, j, np.array([max(steps - j, 0)])) for j in range(max_jumps + 1)]
     )
-    psi = final[counts]
-    rho = np.einsum("ki,kj->ij", psi, psi.conj()) / cfg.n_trajectories
+    rho = (final.T * weights) @ final.conj()
     return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 

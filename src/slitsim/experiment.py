@@ -178,26 +178,36 @@ def populations(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     return signal, idler
 
 
-# one draw holds every resample: 10^6 3x3 int64 tables are 72 MB
+# bounds the run time: 10^6 resamples of one table take seconds
 MAX_RESAMPLES = 10**6
+
+# Resamples drawn and evaluated at once; memory stays bounded at the cap.
+_RESAMPLE_BLOCK = 2**14
 
 
 def concurrence_uncertainty(table: CountsTable, *, seed: int, n_resamples: int = 1000) -> float:
     """Parametric-bootstrap standard deviation of the reconstructed concurrence.
 
-    One Poisson(N_ij) draw of shape (n_resamples, *counts.shape) from stream
-    seed holds every resample, resample r in slab r (so prefix-stable in
-    n_resamples), and all-zero resamples are dropped.  Draws of a validated
-    table need no checks of their own, so the survivors are one stack.
+    Resample r is slab r of one Poisson(N_ij) draw of shape
+    (n_resamples, *counts.shape) from stream seed (so prefix-stable in
+    n_resamples), and all-zero resamples are dropped.  The draw is made and
+    evaluated in blocks of whole slabs from the one generator, which gives
+    the bytes of a single draw.  Draws of a validated table need no checks
+    of their own, so each block's survivors are one stack.
     """
     if not 2 <= n_resamples <= MAX_RESAMPLES:
         raise ValueError(f"n_resamples must lie in [2, {MAX_RESAMPLES}], got {n_resamples}")
-    draws = derive_rng(seed).poisson(table.counts, size=(n_resamples, *table.counts.shape))
-    draws = draws[draws.any(axis=(1, 2))]
-    if len(draws) < 2:
+    rng = derive_rng(seed)
+    blocks = []
+    for lo in range(0, n_resamples, _RESAMPLE_BLOCK):
+        draws = rng.poisson(table.counts, size=(min(_RESAMPLE_BLOCK, n_resamples - lo), *table.counts.shape))
+        draws = draws[draws.any(axis=(1, 2))]
+        totals = draws.sum(axis=(1, 2), keepdims=True)
+        blocks.append(_i_concurrence(np.sqrt(draws / totals)))
+    values = np.concatenate(blocks)
+    if len(values) < 2:
         raise ValueError(
-            f"only {len(draws)} of {n_resamples} bootstrap resamples are non-empty; "
+            f"only {len(values)} of {n_resamples} bootstrap resamples are non-empty; "
             "the spread needs at least two"
         )
-    totals = draws.sum(axis=(1, 2), keepdims=True)
-    return float(np.std(_i_concurrence(np.sqrt(draws / totals))))
+    return float(np.std(values))

@@ -210,12 +210,35 @@ def test_damp_rejects_negative_time(tmp_path):
 def test_trajectories_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
+    printed = []
     for out in (a, b):
         assert run("trajectories", "--dim", 3, "--initial-level", 2, "--gamma", 1.0,
                    "--t", 0.2, "--n", 300, "--seed", 5, "--out", out) == 0
-    assert a.read_bytes() == b.read_bytes()
+        printed.append(capsys.readouterr().out)
+    assert a.read_bytes() == b.read_bytes() and printed[0] == printed[1]
     rho = parse_state(a.read_text())
     assert isinstance(rho, DensityMatrix)
+    # stream contract v2: trajectory k reads row k of one derive_rng(5) draw
+    assert hashlib.sha256(printed[0].encode()).hexdigest() == (
+        "7ab2789cf10b2bacdfb9a4c66ea9ef8baeb119ecbb134b3b981ccfaf2480ee30")
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "abada36b3bca327a0eb00e733a3c571c517e62b678ff540d330d6ab43220aadd")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--t", "inf"), "t must be finite and non-negative, got inf"),
+    (("--t", "nan"), "t must be finite and non-negative, got nan"),
+    (("--t", "1e12"), "exceeds the 1048576 steps allowed"),
+    (("--t", "1", "--dt", "1e-300"), "exceeds the 1048576 steps allowed"),
+    (("--t", "1", "--gamma", "nan"), "gamma must be finite and non-negative, got nan"),
+], ids=["t-inf", "t-nan", "t-1e12", "dt-1e-300", "gamma-nan"])
+@pytest.mark.filterwarnings("error")
+def test_trajectories_reject_unbounded_step_counts(tmp_path, capsys, args, message):
+    out = tmp_path / "rho.txt"
+    assert run("trajectories", *args, "--n", 10, "--seed", 1, "--compare-master", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()
 
 
 def test_pattern_requires_seed(tmp_path):

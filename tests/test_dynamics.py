@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,60 @@ def test_lindblad_rhs_traceless_hermitian(seed):
     assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
 
 
+def stagewise_rhs(model, rho):
+    """The generator written term by term: -i[H, rho] + sum g (a rho a+ - {a+ a, rho} / 2)."""
+    h = model.hamiltonian.matrix
+    out = -1j * (h @ rho - rho @ h)
+    for op, g in model.lindblad_ops:
+        a = op.matrix
+        a_dag = a.conj().T
+        out = out + g * (a @ rho @ a_dag - 0.5 * (a_dag @ a @ rho + rho @ a_dag @ a))
+    return out
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_lindblad_rhs_matches_the_stagewise_generator(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    model = LindbladModel(
+        d,
+        ComplexOperator(h + h.conj().T),
+        ((annihilation(d), rng.uniform(0, 2)), (ComplexOperator(b / np.linalg.norm(b)), rng.uniform(0, 2))),
+    )
+    rho = random_density(rng, d)
+    assert np.max(np.abs(lindblad_rhs(model, rho).matrix - stagewise_rhs(model, rho.matrix))) < 1e-14
+
+
+def bosonic_damping(rho, gamma_t):
+    """Closed-form damping channel (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)):
+    K_k = sum_n sqrt(C(n, k)) e^{-(n-k) gamma t} (1 - e^{-2 gamma t})^{k/2} |n-k><n|."""
+    d = rho.shape[0]
+    loss = -np.expm1(-2.0 * gamma_t)
+    out = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        kraus = np.zeros((d, d))
+        for n in range(k, d):
+            kraus[n - k, n] = np.sqrt(comb(n, k)) * np.exp(-(n - k) * gamma_t) * loss ** (k / 2)
+        out += kraus @ rho @ kraus.T
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_integrate_master_matches_the_closed_form_damping_channel(d):
+    gamma = 0.8
+    model = damping_lindblad(DampingModel(d, gamma))
+    excited = np.zeros((d, d))
+    excited[-1, -1] = 1.0
+    mixed = random_density(np.random.default_rng(d), d).matrix
+    for rho0 in (excited, mixed):
+        for gamma_t in (0.1, 0.7, 2.0):
+            rho = integrate_master(model, DensityMatrix(rho0), gamma_t / gamma, 1e-2 / (2.0 * gamma * d))
+            assert np.max(np.abs(rho.matrix - bosonic_damping(rho0, gamma_t))) < 1e-10
+
+
 def test_integrate_master_time_zero_is_input():
     model = damping_lindblad(DampingModel(3, 1.0))
     rho0 = DensityMatrix(np.diag([0.0, 0.0, 1.0]))
@@ -111,6 +167,29 @@ def test_integrate_master_rejects_large_steps():
     rho0 = DensityMatrix(np.diag([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         integrate_master(model, rho0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("t, dt", [
+    (np.inf, 1e-3), (np.nan, 1e-3), (-0.5, 1e-3), (1.0, 1e-300), (1e12, 1e-3),
+    (1.0, 0.0), (1.0, -1e-3), (1.0, np.nan), (1.0, np.inf),
+])
+@pytest.mark.filterwarnings("error")
+def test_integrate_master_rejects_step_counts_it_cannot_take(t, dt):
+    model = damping_lindblad(DampingModel(3, 1.0))
+    with pytest.raises(ValueError, match="must be finite|steps allowed"):
+        integrate_master(model, DensityMatrix(np.diag([0.0, 0.0, 1.0])), t, dt)
+
+
+def test_step_count_bound_admits_max_steps_exactly():
+    assert dynamics._step_count(dynamics.MAX_STEPS * 1e-3, 1e-3) == dynamics.MAX_STEPS
+    with pytest.raises(ValueError, match="steps allowed"):
+        dynamics._step_count((dynamics.MAX_STEPS + 1) * 1e-3, 1e-3)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+def test_damping_model_rejects_gamma_that_is_not_a_finite_rate(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite and non-negative"):
+        DampingModel(3, gamma)
 
 
 def test_no_jump_step_examples():
@@ -182,11 +261,18 @@ def test_trajectory_config_validation():
         run_trajectories(model, np.array([0, 0, 1.0]), 1.0, TrajectoryConfig(10, 0.1, 1))
 
 
-def oracle_trajectories(model, psi0, t, cfg):
-    """Literal per-trajectory loop over the public step maps and streams.
+def v2_uniforms(n, dim, seed):
+    """Stream contract v2: row k of one draw holds trajectory k's dim - 1 uniforms."""
+    return derive_rng(seed).random((n, dim - 1))
 
-    Returns the running ensemble averages after 1..n trajectories, and the
-    jump count of every trajectory.
+
+def oracle_trajectories(model, psi0, t, cfg):
+    """Literal per-trajectory loop over the public step maps and the v2 stream.
+
+    Trajectory k walks the steps and multiplies its no-jump survival by
+    (1 - dp) until the product falls below its next uniform; then it jumps
+    and the product restarts at 1.  Returns the running ensemble averages
+    after 1..n trajectories, and the jump count of every trajectory.
     """
     steps = max(1, int(np.ceil(t / cfg.dt - 1e-12)))
     h = t / steps
@@ -194,12 +280,13 @@ def oracle_trajectories(model, psi0, t, cfg):
     v0 = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
     total = np.zeros((model.dim, model.dim), dtype=complex)
     averages, counts = [], []
-    for k in range(cfg.n_trajectories):
-        u = derive_rng(cfg.seed, k).random(steps)
-        psi, jumps = v0, 0
+    for k, u in enumerate(v2_uniforms(cfg.n_trajectories, model.dim, cfg.seed)):
+        psi, jumps, survival = v0, 0, 1.0
         for s in range(steps):
-            if u[s] < 2.0 * model.gamma * h * (np.abs(psi) ** 2 @ levels):
-                psi, jumps = jump_step(model, psi), jumps + 1
+            survival *= 1.0 - 2.0 * model.gamma * h * (np.abs(psi) ** 2 @ levels)
+            # in the ground state dp = 0, so the product stays at 1 and never jumps
+            if jumps < len(u) and survival < u[jumps]:
+                psi, jumps, survival = jump_step(model, psi), jumps + 1, 1.0
             else:
                 psi, _ = no_jump_step(model, psi, h)
         total += np.outer(psi, psi.conj())
@@ -235,17 +322,24 @@ def test_trajectories_match_stepwise_ensemble():
     model = DampingModel(dim, gamma)
     psi0 = np.array([1.0, 1.0j, 1.0, 1.0]) / 2.0
     cfg = TrajectoryConfig(2000, 1e-2 / (2.0 * gamma * dim), seed=21)
+    n = cfg.n_trajectories
     steps = int(np.ceil(t / cfg.dt - 1e-12))
     h = t / steps
-    u = np.array([derive_rng(cfg.seed, k).random(steps) for k in range(cfg.n_trajectories)])
+    # a trajectory in the ground state compares its survival, 1, with a padded 0
+    u = np.hstack([v2_uniforms(n, dim, cfg.seed), np.zeros((n, 1))])
     a = annihilation(dim).matrix
     decay = np.exp(-gamma * h * np.arange(dim))
-    psi = np.tile(psi0, (cfg.n_trajectories, 1))
+    psi = np.tile(psi0, (n, 1))
+    survival, jumps = np.ones(n), np.zeros(n, dtype=int)
     for s in range(steps):
-        jumped = u[:, s] < 2.0 * gamma * h * (np.abs(psi) ** 2 @ np.arange(dim))
+        survival *= 1.0 - 2.0 * gamma * h * (np.abs(psi) ** 2 @ np.arange(dim))
+        jumped = survival < u[np.arange(n), jumps]
         psi = np.where(jumped[:, None], psi @ a.T, psi * decay)
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    expect = psi.T @ psi.conj() / cfg.n_trajectories
+        survival[jumped] = 1.0
+        jumps += jumped
+    assert set(jumps) == {0, 1, 2, 3}
+    expect = psi.T @ psi.conj() / n
     rho = run_trajectories(model, psi0, t, cfg).matrix
     assert np.max(np.abs(rho - expect)) < 1e-12
 
@@ -264,10 +358,53 @@ def test_trajectories_do_not_depend_on_the_uniform_block_size(monkeypatch):
     psi0 = np.array([0.1, 0.5j, 0.3, 0.8], dtype=complex)
     cfg = TrajectoryConfig(257, 1e-3, seed=11)
     whole = run_trajectories(model, psi0, 0.8, cfg)
-    # one 800-step trajectory per block, then blocks of 3 trajectories
-    for block_bytes in (1, 3 * 8 * 800):
+    # one trajectory's 3 uniforms per block, then blocks of 3 trajectories
+    for block_bytes in (1, 3 * 8 * 3):
         monkeypatch.setattr(dynamics, "_UNIFORM_BLOCK_BYTES", block_bytes)
         assert np.array_equal(run_trajectories(model, psi0, 0.8, cfg).matrix, whole.matrix)
+
+
+def step_rule_table(model, psi0, t, dt):
+    """dp[j, s]: jump probability at step s after j jumps, from the states a^j e^{-gamma h N (s - j)} psi0."""
+    steps = max(1, int(np.ceil(t / dt - 1e-12)))
+    h = t / steps
+    levels = np.arange(model.dim)
+    v0 = np.asarray(psi0, dtype=complex)
+    max_jumps = int(np.flatnonzero(v0)[-1])
+    a = annihilation(model.dim).matrix
+    dp = np.zeros((max_jumps, steps))
+    for j in range(max_jumps):
+        calm = np.arange(steps - j)[:, None]
+        states = (v0 * np.exp(-model.gamma * h * levels) ** calm) @ np.linalg.matrix_power(a, j).T
+        weights = np.abs(states) ** 2
+        dp[j, j:] = 2.0 * model.gamma * h * (weights @ levels) / weights.sum(axis=1)
+    return dp
+
+
+def step_rule_law(dp):
+    """P(J = j) after the last step, by the forward recursion of the step rule over (j, s)."""
+    max_jumps, steps = dp.shape
+    rates = np.vstack([dp, np.zeros(steps)])  # the last level cannot jump
+    q = np.zeros(max_jumps + 1)
+    q[0] = 1.0
+    for s in range(steps):
+        moved = q * rates[:, s]
+        q -= moved
+        q[1:] += moved[:-1]
+    return q
+
+
+def test_jump_count_histogram_follows_the_step_rule_law():
+    model = DampingModel(4, 1.0)
+    psi0 = np.array([0.5, 0.5j, -0.5, 0.5])
+    dp = step_rule_table(model, psi0, 0.6, 1e-2 / (2.0 * 4))
+    law = step_rule_law(dp)
+    n = 200_000
+    hist = dynamics._jump_counts(dp, model.dim, seed=2024, n=n)
+    assert hist.sum() == n and np.all(law > 0.01)
+    # binomial z-score of every count; at this fixed seed all lie well inside 4
+    z = (hist - n * law) / np.sqrt(n * law * (1.0 - law))
+    assert np.max(np.abs(z)) <= 4.0
 
 
 def test_no_jump_conditional_state_examples():

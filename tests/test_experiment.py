@@ -247,6 +247,23 @@ def test_concurrence_uncertainty_draws_are_prefix_stable(monkeypatch, short):
             np.testing.assert_array_equal(prefix, full[:kept])
 
 
+@pytest.mark.parametrize("block", [1, 7, 333])
+def test_concurrence_uncertainty_does_not_depend_on_the_block_size(monkeypatch, block):
+    tables = damping_counts() + [CountsTable(np.eye(3, dtype=int))]
+    whole = [concurrence_uncertainty(table, seed=5, n_resamples=1000) for table in tables]
+    monkeypatch.setattr(experiment, "_RESAMPLE_BLOCK", block)
+    assert np.array_equal([concurrence_uncertainty(table, seed=5, n_resamples=1000) for table in tables], whole)
+
+
+@pytest.mark.filterwarnings("error")
+def test_concurrence_uncertainty_counts_survivors_over_all_blocks(monkeypatch):
+    # at seed 0 the first resample of this table is non-empty and the second empty
+    monkeypatch.setattr(experiment, "_RESAMPLE_BLOCK", 1)
+    table = CountsTable(np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(ValueError, match="only 1 of 2 bootstrap resamples are non-empty"):
+        concurrence_uncertainty(table, seed=0, n_resamples=2)
+
+
 @pytest.mark.parametrize("n_resamples", [1, experiment.MAX_RESAMPLES + 1, 10**11])
 def test_concurrence_uncertainty_caps_resamples_before_drawing(monkeypatch, n_resamples):
     def no_draw(*key):
