@@ -90,8 +90,6 @@ def _cmd_film(args) -> int:
 
 
 def _cmd_damp(args) -> int:
-    if args.gamma_t < 0:
-        raise ValueError("gamma-t must be non-negative")
     convention = resolve_convention(args.convention)
     state = fileio.parse_state(fileio.read_text(args.state))
     if not isinstance(state, PureBipartiteState):

@@ -56,6 +56,13 @@ def _amplitude_rate(convention: str) -> float:
     return 1.0 if resolve_convention(convention) == AMPLITUDE else 0.5
 
 
+def _jump_free_factors(dim: int, gamma_t: float, convention: str = AMPLITUDE) -> np.ndarray:
+    """Amplitude factor exp(-r gamma t l) of each level l after a jump-free evolution."""
+    if not (math.isfinite(gamma_t) and gamma_t >= 0):
+        raise ValueError(f"gamma_t must be finite and non-negative, got {gamma_t}")
+    return np.exp(-_amplitude_rate(convention) * gamma_t * np.arange(dim))
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian (pre-divided by hbar) plus Lindblad operators with rates."""
@@ -71,8 +78,8 @@ class LindbladModel:
         for op, g in ops:
             if op.dim != self.dim:
                 raise ValueError("Lindblad operator dimension mismatch")
-            if g < 0:
-                raise ValueError(f"rates must be non-negative, got {g}")
+            if not (math.isfinite(g) and g >= 0):
+                raise ValueError(f"rate must be finite and non-negative, got {g}")
         object.__setattr__(self, "lindblad_ops", ops)
 
     @property
@@ -342,8 +349,6 @@ def no_jump_conditional_state(
     exp(-l gamma t / 2) under the population convention, then the state is
     renormalized.
     """
-    if gamma_t < 0:
-        raise ValueError("gamma_t must be non-negative")
     c = psi0.amplitudes
     if psi0.dim_s != psi0.dim_i:
         raise ValueError("expected equal signal and idler dimensions")
@@ -351,9 +356,7 @@ def no_jump_conditional_state(
     anti = np.fliplr(np.eye(d)) > 0
     if np.max(np.abs(c[~anti])) > 1e-12:
         raise ValueError("state is not in anti-diagonal Schmidt form")
-    rate = _amplitude_rate(convention)
-    factors = np.exp(-rate * gamma_t * np.arange(d))
-    scaled = c * factors[:, None]
+    scaled = c * _jump_free_factors(d, gamma_t, convention)[:, None]
     norm = np.linalg.norm(scaled)
     if norm == 0.0:
         raise ValueError("evolution annihilated the state")
@@ -362,8 +365,5 @@ def no_jump_conditional_state(
 
 def no_jump_survival(psi0: PureBipartiteState, gamma_t: float, convention: str = AMPLITUDE) -> float:
     """Probability that the signal evolves for gamma*t without a jump."""
-    if gamma_t < 0:
-        raise ValueError("gamma_t must be non-negative")
-    rate = _amplitude_rate(convention)
-    factors = np.exp(-rate * gamma_t * np.arange(psi0.dim_s))
+    factors = _jump_free_factors(psi0.dim_s, gamma_t, convention)
     return float(np.sum(np.abs(psi0.amplitudes * factors[:, None]) ** 2))

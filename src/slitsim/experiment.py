@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _jump_free_factors
 from .qcore import DensityMatrix, PureBipartiteState, _i_concurrence
 from .rng import derive_rng
 
@@ -97,9 +98,7 @@ class SagnacSchedule:
 
 def sagnac_schedule(gamma_t: float) -> SagnacSchedule:
     """Transmissions exp(-l gamma t) with phases back-computed as 2 arcsin(t_l)."""
-    if gamma_t < 0:
-        raise ValueError("gamma_t must be non-negative")
-    ts = tuple(math.exp(-level * gamma_t) for level in range(3))
+    ts = tuple(float(t) for t in _jump_free_factors(3, gamma_t))
     phases = tuple(2.0 * math.asin(t) for t in ts)
     return SagnacSchedule(gamma_t, ts, phases)
 

@@ -5,12 +5,15 @@ All lengths are in millimetres.  The pattern at idler position x_i with the
 signal detector at x_s is
 
     P = A sinc^2(k a x_i / f) sinc^2(k a x_s / (f beta))
-        * [1 + sum_{l>m} (1-p) |rho_lm| sinc(n k d b / f) sinc(n k d b / (f beta))
-               cos(n k d x_i / f - n k d x_s / (f beta) + arg rho_lm)]
+        * [1 + (1-p) Re sum_{n=1}^{d-1} det_n S_n exp(i n theta)]
 
-with n = l - m, rho the pair-basis density of the initial state, and
-sinc(x) = sin(x)/x.  The normalization A is a free scale; p enters only
-through the fringe visibilities, which is what the fit exploits.
+with theta = k d x_i / f - k d x_s / (f beta), the detector factor
+det_n = sinc(n k d b / f) sinc(n k d b / (f beta)), S_n = sum_m rho_{m+n,m}
+the n-th subdiagonal sum of the pair-basis density rho of the initial
+state, and sinc(x) = sin(x)/x.  Each slit pair l > m adds
+|rho_lm| det_n cos(n theta + arg rho_lm) with n = l - m, so the fringe is a
+sum over slit difference.  The normalization A is a free scale; p enters
+only through the fringe visibilities, which is what the fit exploits.
 """
 from __future__ import annotations
 
@@ -75,36 +78,20 @@ def fringe_period(geom: OpticalGeometry, arm: str = "idler") -> float:
     raise ValueError(f"arm must be 'signal' or 'idler', got {arm!r}")
 
 
-def _pair_terms(geom: OpticalGeometry, rho0: DensityMatrix):
-    """(difference n, modulus, phase, detector sinc factor) per pair l > m."""
-    k, d, f = geom.wave_number, geom.slit_separation, geom.focal_length
-    b, beta = geom.half_detector_width, geom.beta
-    terms = []
-    for l in range(rho0.dim):
-        for m in range(l):
-            elem = rho0.matrix[l, m]
-            n = l - m
-            det = float(_sinc(n * k * d * b / f) * _sinc(n * k * d * b / (f * beta)))
-            terms.append((n, abs(elem), float(np.angle(elem)), det))
-    return terms
-
-
 def _envelope_and_fringe(geom: OpticalGeometry, rho0: DensityMatrix, x_i, x_s):
     """Envelope E and fringe sum G with P = scale * E * (1 + (1-p) G);
     positions whose arguments overflow or are not finite raise ValueError."""
     k, a, d, f = geom.wave_number, geom.half_slit_width, geom.slit_separation, geom.focal_length
-    beta = geom.beta
+    b, beta = geom.half_detector_width, geom.beta
     x_i = np.asarray(x_i, dtype=float)
     x_s = np.asarray(x_s, dtype=float)
+    n = np.arange(1, rho0.dim)
+    det = _sinc(n * k * d * b / f) * _sinc(n * k * d * b / (f * beta))
+    coherence = np.array([np.trace(rho0.matrix, offset=-m) for m in n])
     with np.errstate(over="ignore", invalid="ignore"):
         env = _sinc(k * a * x_i / f) ** 2 * _sinc(k * a * x_s / (f * beta)) ** 2
-        fringe = np.zeros(np.broadcast(x_i, x_s).shape)
-        for n, mod, phase, det in _pair_terms(geom, rho0):
-            if mod == 0.0:
-                continue
-            fringe = fringe + mod * det * np.cos(
-                n * k * d * x_i / f - n * k * d * x_s / (f * beta) + phase
-            )
+        theta = k * d * x_i / f - k * d * x_s / (f * beta)
+        fringe = (np.exp(1j * np.multiply.outer(theta, n)) @ (det * coherence)).real
         bad = ~np.isfinite(env + fringe)  # E and G are bounded where the arguments are finite
     if bad.any():
         x_i, x_s = np.broadcast_arrays(x_i, x_s)

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,18 @@ def test_damp_rejects_negative_time(tmp_path):
     state = tmp_path / "state.txt"
     run("prepare", "--d", 3, "--uniform", "--out", state)
     assert run("damp", "--state", state, "--gamma-t", -1.0, "--out", tmp_path / "e.txt") == 1
+
+
+@pytest.mark.parametrize("gamma_t", ["nan", "inf", "-1"])
+def test_damp_names_gamma_t_that_is_not_finite_and_non_negative(tmp_path, capsys, gamma_t):
+    state = tmp_path / "state.txt"
+    run("prepare", "--d", 3, "--uniform", "--out", state)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("damp", "--state", state, "--gamma-t", gamma_t, "--out", tmp_path / "e.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: gamma_t must be finite and non-negative, got")
 
 
 def test_trajectories_deterministic_output(tmp_path, capsys):

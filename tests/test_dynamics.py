@@ -22,6 +22,7 @@ from slitsim.dynamics import (
     resolve_convention,
     run_trajectories,
 )
+from slitsim.experiment import SlitStatePrep, prepare_state, sagnac_schedule
 from slitsim.qcore import ComplexOperator, DensityMatrix, PureBipartiteState, trace_distance
 from slitsim.rng import derive_rng
 
@@ -190,6 +191,23 @@ def test_step_count_bound_admits_max_steps_exactly():
 def test_damping_model_rejects_gamma_that_is_not_a_finite_rate(gamma):
     with pytest.raises(ValueError, match="gamma must be finite and non-negative"):
         DampingModel(3, gamma)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+def test_lindblad_model_rejects_rate_that_is_not_finite_and_non_negative(rate):
+    with pytest.raises(ValueError, match="rate must be finite and non-negative, got"):
+        LindbladModel(3, ComplexOperator(np.zeros((3, 3))), ((annihilation(3), rate),))
+
+
+@pytest.mark.parametrize("gamma_t", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("evolve", [
+    lambda gt: no_jump_conditional_state(prepare_state(SlitStatePrep.uniform(3)), gt),
+    lambda gt: no_jump_survival(prepare_state(SlitStatePrep.uniform(3)), gt),
+    sagnac_schedule,
+], ids=["conditional_state", "survival", "sagnac_schedule"])
+def test_jump_free_maps_reject_gamma_t_that_is_not_finite_and_non_negative(evolve, gamma_t):
+    with pytest.raises(ValueError, match="gamma_t must be finite and non-negative, got"):
+        evolve(gamma_t)
 
 
 def test_no_jump_step_examples():

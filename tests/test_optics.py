@@ -337,3 +337,56 @@ def test_fit_clamps_anti_phase_fringe_to_p_one():
     p_hat = fit_p(scan, GEOM, plus).p_hat
     assert p_hat == 1.0
     _assert_no_worse_than_grid(scan, plus, p_hat)
+
+
+def _per_pair_fringe(geom, rho, x_i, x_s):
+    """Reference fringe sum written pair by pair:
+    sum_{l>m} |rho_lm| det_n cos(n theta + arg rho_lm) with n = l - m."""
+    k, d, f = geom.wave_number, geom.slit_separation, geom.focal_length
+    b, beta = geom.half_detector_width, geom.beta
+
+    def sinc(y):
+        return math.sin(y) / y
+
+    fringe = np.zeros(np.broadcast(x_i, x_s).shape)
+    for l in range(rho.dim):
+        for m in range(l):
+            n, elem = l - m, rho.matrix[l, m]
+            det = sinc(n * k * d * b / f) * sinc(n * k * d * b / (f * beta))
+            fringe = fringe + abs(elem) * det * np.cos(
+                n * k * d * x_i / f - n * k * d * x_s / (f * beta) + np.angle(elem))
+    return fringe
+
+
+def _oracle_states(rng, d):
+    """Random mixed complex densities, every single-coherence density, and a diagonal one."""
+    states = [random_density(rng, d) for _ in range(20)]
+    for l in range(d):
+        for m in range(l):
+            single = np.eye(d, dtype=complex) / d
+            single[l, m] = np.exp(1j * rng.uniform(-math.pi, math.pi)) / d
+            single[m, l] = np.conj(single[l, m])
+            states.append(DensityMatrix(single))
+    diagonal = rng.uniform(0.1, 1.0, size=d)
+    return states, DensityMatrix(np.diag(diagonal / diagonal.sum()))
+
+
+@pytest.mark.parametrize("geom", [
+    GEOM,
+    OpticalGeometry(half_detector_width=0.3),
+    OpticalGeometry(beta=1.7, half_detector_width=0.01, half_slit_width=0.1),
+], ids=["bench", "wide-detector", "beta-1.7"])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_fringe_sum_over_slit_difference_matches_per_pair_sum(geom, d):
+    rng = np.random.default_rng(100 + d)
+    x = np.linspace(-3.0, 3.0, 401)
+    states, diagonal = _oracle_states(rng, d)
+    worst = 0.0
+    for x_fixed in (0.0, x_pi(geom)):
+        for x_i, x_s in ((x, x_fixed), (x_fixed, x)):
+            for rho in states:
+                _, fringe = _envelope_and_fringe(geom, rho, x_i, x_s)
+                worst = max(worst, float(np.max(np.abs(fringe - _per_pair_fringe(geom, rho, x_i, x_s)))))
+            _, fringe = _envelope_and_fringe(geom, diagonal, x_i, x_s)
+            assert np.all(fringe == 0.0)
+    assert worst <= 1e-13
