@@ -9,6 +9,7 @@ report failed its own threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -150,7 +151,8 @@ def _cmd_fit_p(args) -> int:
     print(f"sigma_p: {result.sigma_p:.6f}")
     print(f"scale: {result.scale_hat:.6g}")
     if scan.p_true is not None:
-        print(f"p_true: {scan.p_true:.6f} (error {result.p_hat - scan.p_true:+.6f})")
+        error = round(result.p_hat - scan.p_true, 6) + 0.0  # + 0.0 turns -0.0 into +0.0
+        print(f"p_true: {scan.p_true:.6f} (error {error:+.6f})")
     return 0
 
 
@@ -180,6 +182,7 @@ def _cmd_reproduce_table2(args) -> int:
     return 0 if all_ok else 2
 
 
+@functools.cache  # one parser per process; each parse_args returns a fresh Namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="slitsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,6 +268,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command line (default ``sys.argv[1:]``) and return its exit code.
+
+    In-process callers may call it repeatedly: the parser is built on the
+    first call and reused, and each call parses into a fresh namespace.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

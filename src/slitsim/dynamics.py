@@ -60,7 +60,8 @@ def _jump_free_factors(dim: int, gamma_t: float, convention: str = AMPLITUDE) ->
     """Amplitude factor exp(-r gamma t l) of each level l after a jump-free evolution."""
     if not (math.isfinite(gamma_t) and gamma_t >= 0):
         raise ValueError(f"gamma_t must be finite and non-negative, got {gamma_t}")
-    return np.exp(-_amplitude_rate(convention) * gamma_t * np.arange(dim))
+    with np.errstate(over="ignore"):  # a rate so large it overflows to -inf decays to exactly 0
+        return np.exp(-_amplitude_rate(convention) * gamma_t * np.arange(dim))
 
 
 @dataclass(frozen=True)

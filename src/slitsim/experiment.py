@@ -33,10 +33,16 @@ class SlitStatePrep:
         amps = tuple(float(a) for a in self.amplitudes)
         if len(amps) != self.d:
             raise ValueError(f"expected {self.d} amplitudes, got {len(amps)}")
+        if not all(math.isfinite(a) for a in amps):
+            raise ValueError(f"amplitudes must be finite, got {amps}")
         if any(a < 0 for a in amps):
             raise ValueError("amplitudes must be non-negative")
-        if sum(a * a for a in amps) == 0.0:
+        with np.errstate(over="ignore"):
+            squares = float(np.dot(amps, amps))  # the sum prepare_state's norm takes
+        if squares == 0.0:
             raise ValueError("amplitudes are all zero")
+        if not math.isfinite(squares):
+            raise ValueError("amplitudes are too large: the sum of their squares overflows")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod

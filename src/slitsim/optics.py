@@ -28,6 +28,8 @@ from .rng import derive_rng
 
 MIN_SCAN_SAMPLES = 8
 SIGMA_FLOOR = 1e-6
+# Largest mean numpy's Generator.poisson accepts ("lam value too large" above it).
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 class DegenerateScanError(ValueError):
@@ -185,8 +187,8 @@ def synthesize_scan(
 
     With ``noiseless`` the exact means are recorded instead of draws.
     """
-    if peak_counts <= 0:
-        raise ValueError("peak_counts must be positive")
+    if not (math.isfinite(peak_counts) and peak_counts > 0):
+        raise ValueError(f"peak_counts must be finite and positive, got {peak_counts}")
     positions = np.asarray(positions, dtype=float)
     if fixed_arm == "signal":
         mean = pattern_intensity(geom, rho0, p, positions, fixed_position)
@@ -197,7 +199,14 @@ def synthesize_scan(
     top = mean.max()
     if top <= 0:
         raise ValueError("pattern vanishes over the requested positions")
-    mean = peak_counts * mean / top
+    with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
+        mean = peak_counts * mean / top
+    largest = mean.max()
+    if not np.isfinite(largest):
+        raise ValueError(f"peak_counts {peak_counts} overflows the mean counts")
+    if not noiseless and largest > _POISSON_MEAN_MAX:
+        raise ValueError(f"peak_counts {peak_counts} puts the mean counts above "
+                         f"{_POISSON_MEAN_MAX}, the largest Poisson mean that can be sampled")
     counts = mean if noiseless else derive_rng(seed).poisson(mean).astype(float)
     return PatternScan(fixed_arm, float(fixed_position), positions, counts, p_true=float(p))
 

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import slitsim
-from slitsim.cli import main
+from slitsim.cli import _build_parser, main
 from slitsim.fileio import format_scan, parse_film, parse_scan, parse_state
 from slitsim.optics import OpticalGeometry, PatternScan
 from slitsim.qcore import DensityMatrix, PureBipartiteState, i_concurrence
+from slitsim.reports import P_GRID
 
 
 def run(*args) -> int:
@@ -36,6 +37,28 @@ def test_prepare_partial_amps(tmp_path, capsys):
 def test_prepare_requires_amplitudes(tmp_path, capsys):
     assert run("prepare", "--d", 3, "--out", tmp_path / "s.txt") == 1
     assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amps, message", [
+    ("1,inf,1", "error: amplitudes must be finite"),
+    ("nan,1,1", "error: amplitudes must be finite"),
+    ("1e200,1e200,1", "error: amplitudes are too large: the sum of their squares overflows"),
+])
+def test_prepare_names_amplitudes_that_cannot_be_normalized(tmp_path, capsys, amps, message):
+    assert run("prepare", "--d", 3, "--amps", amps, "--out", tmp_path / "s.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_prepare_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "state.txt"
+    assert run("prepare", "--d", 3, "--amps", "0.2771,0.5420,0.7934", "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "0556389dcfb17c060e8091e75e3b6d2c4a4560ee717d256b4708be1c8082a1e0"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "5e31375cccf794c88f7a991d729ea544228ad6c06d6724ff40b9098c538dbea2"
 
 
 def test_prepare_usage_error_exit_code(tmp_path):
@@ -220,6 +243,38 @@ def test_damp_names_gamma_t_that_is_not_finite_and_non_negative(tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: gamma_t must be finite and non-negative, got")
 
 
+@pytest.mark.parametrize("convention, gamma_t, digest", [
+    ("amplitude", 0.7, "a798fda38eed5472d489dff19ba82decc79ef7ff850db7bfcfbbf3635e591222"),
+    ("amplitude", 40, "be149ecce86271c1c2b6d1887c4ffeb7686931d1d8fc1a14db51774b2de37c82"),
+    ("population", 0.7, "ca477d53798e598ab58d423f9eaab90da6aecb70f1f4949430df143319334411"),
+    ("population", 40, "f5dfb02d9b5ad27a0f4a2c7c4e3b1b1131bf93e0f6f040bb17cf35d8e71179e1"),
+])
+def test_damp_bytes_are_pinned(tmp_path, convention, gamma_t, digest):
+    state, out = tmp_path / "state.txt", tmp_path / "evolved.txt"
+    run("prepare", "--d", 3, "--amps", "0.2771,0.5420,0.7934", "--out", state)
+    assert run("damp", "--state", state, "--gamma-t", gamma_t, "--convention", convention,
+               "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("convention", ["amplitude", "population"])
+def test_damp_at_overflowing_gamma_t_keeps_only_level_zero(tmp_path, capsys, d, convention):
+    state, out = tmp_path / "state.txt", tmp_path / "evolved.txt"
+    amps = [float(k) for k in range(1, d + 1)]
+    run("prepare", "--d", d, "--amps", ",".join(map(str, amps)), "--out", state)
+    capsys.readouterr()
+    assert run("damp", "--state", state, "--gamma-t", "1e308", "--convention", convention,
+               "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"survival probability: {1.0 / sum(a * a for a in amps):.6f}" in captured.out
+    assert "concurrence: 0.0000" in captured.out
+    evolved = parse_state(out.read_text()).amplitudes
+    assert evolved[0, d - 1] == 1.0 and np.count_nonzero(evolved) == 1
+
+
 def test_trajectories_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -275,6 +330,34 @@ def test_pattern_at_xpi(tmp_path, capsys):
     assert run("pattern", "--p", 0.5, "--at-xpi", "--seed", 3, "--out", scan_path) == 0
     scan, geom = parse_scan(scan_path.read_text())
     assert scan.fixed_position == pytest.approx(0.1761, abs=1e-4)
+
+
+@pytest.mark.parametrize("p", P_GRID)
+@pytest.mark.parametrize("at_xpi", [False, True], ids=["x0", "xpi"])
+def test_fit_p_error_that_rounds_to_zero_prints_unsigned(tmp_path, capsys, p, at_xpi):
+    # at p = 1 and the anti-fringe point p_hat lands just below p_true, which printed -0.000000
+    scan_path = tmp_path / "scan.txt"
+    assert run("pattern", "--p", p, *(["--at-xpi"] if at_xpi else []), "--noiseless",
+               "--out", scan_path) == 0
+    assert run("fit-p", "--scan", scan_path) == 0
+    printed = capsys.readouterr().out
+    assert f"p_true: {p:.6f} (error +0.000000)" in printed.splitlines()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["pattern", "--p", "0.5"], ["reproduce-table1"]],
+                         ids=["pattern", "table1"])
+@pytest.mark.parametrize("noise, peak_counts", [
+    *((["--seed", "1"], peak) for peak in ("nan", "inf", "-1", "1e300", "1.7e308")),
+    # noiseless means need no sampling, so only non-finite or overflowing values fail
+    *((["--noiseless"], peak) for peak in ("nan", "inf", "-1", "1.7e308")),
+])
+def test_peak_counts_is_named_in_one_error_line(tmp_path, capsys, command, noise, peak_counts):
+    out = tmp_path / "out.txt"
+    assert run(*command, *noise, "--peak-counts", peak_counts, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: peak_counts ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["pattern", "fit-p"])
@@ -415,6 +498,52 @@ def test_reproduce_table2_rejects_tables_that_are_not_3x3(tmp_path, capsys, rows
     assert len(err) == 1 and err[0].startswith("error:")
     assert "gamma_t=0.7" in err[0] and shape in err[0]
     assert not (tmp_path / "r.txt").exists()
+
+
+# run twice over, so a second usage error or round trip would show any carried state
+SESSION = 2 * [
+    ["pattern", "--p", "0.3", "--seed", "5", "--out", "scan.txt"],
+    ["fit-p", "--scan", "scan.txt"],
+    ["fit-p"],  # usage error: --scan is required
+    ["pattern", "--p", "0.5", "--out", "other.txt"],  # ValueError: no --seed
+    ["--help"],
+]
+
+
+def _run_session(workdir, capsys, monkeypatch, fresh_parser):
+    monkeypatch.chdir(workdir)
+    records = []
+    for argv in SESSION:
+        if fresh_parser:
+            _build_parser.cache_clear()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        written = out.read_bytes() if out is not None and out.exists() else None
+        records.append((rc, captured.out, captured.err, written))
+    return records
+
+
+def test_one_parser_serves_every_call_without_state_between_them(tmp_path, capsys, monkeypatch):
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "reused").mkdir()
+    fresh = _run_session(tmp_path / "fresh", capsys, monkeypatch, fresh_parser=True)
+    _build_parser.cache_clear()
+    reused = _run_session(tmp_path / "reused", capsys, monkeypatch, fresh_parser=False)
+    assert _build_parser.cache_info().misses == 1
+    assert [rc for rc, *_ in reused] == 2 * [0, 0, 1, 1, 0]
+    assert reused == fresh
+    assert reused[:5] == reused[5:]
+    assert reused[2][2].startswith("usage: slitsim fit-p") and reused[4][1].startswith("usage: slitsim")
+    assert _build_parser() is _build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(slitsim.__file__).resolve().parents[1])
+    code = "import slitsim.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
 
 
 def test_unknown_command_exit_code():

@@ -438,6 +438,20 @@ def test_no_jump_conditional_state_examples():
     assert late.amplitudes[0, 2].real == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("convention", ["amplitude", "population"])
+def test_jump_free_maps_at_overflowing_gamma_t_keep_only_level_zero(d, convention):
+    # -r gamma t l overflows to -inf for the upper levels; exp(-inf) = 0 is the exact limit
+    amps = np.arange(1.0, d + 1.0)
+    psi = anti_diagonal_state(amps)
+    evolved = no_jump_conditional_state(psi, 1e308, convention)
+    expect = np.zeros((d, d), dtype=complex)
+    expect[0, d - 1] = 1.0
+    assert np.array_equal(evolved.amplitudes, expect)
+    assert no_jump_survival(psi, 1e308, convention) == pytest.approx(1.0 / np.sum(amps**2), rel=1e-15)
+
+
 def test_no_jump_conditional_state_rejects_general_states():
     c = np.zeros((3, 3))
     c[0, 0] = 1.0

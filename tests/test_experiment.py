@@ -50,11 +50,23 @@ def test_prepare_partial_state_concurrence():
     assert i_concurrence(psi) == pytest.approx(0.876, abs=5e-4)
 
 
+@pytest.mark.filterwarnings("error")
 def test_prepare_validation():
     with pytest.raises(ValueError):
         SlitStatePrep(3, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         SlitStatePrep(3, (1.0, -0.2, 0.0))
+    for amps in ((1.0, np.inf, 1.0), (np.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            SlitStatePrep(3, amps)
+    with pytest.raises(ValueError, match="amplitudes are too large: the sum of their squares overflows"):
+        SlitStatePrep(3, (1e200, 1e200, 1.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_prepare_normalizes_amplitudes_whose_squares_stay_finite():
+    psi = prepare_state(SlitStatePrep(3, (1e150, 1e150, 0.0)))
+    assert psi.amplitudes[0, 2].real == psi.amplitudes[1, 1].real == pytest.approx(2 ** -0.5)
 
 
 def test_sagnac_schedule_values():

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import random_density
+from slitsim import optics
 from slitsim.experiment import SlitStatePrep, anti_correlated_block, prepare_state
 from slitsim.optics import (
     DegenerateScanError,
@@ -209,6 +211,34 @@ def test_overflowing_positions_are_named(fixed_arm):
     with pytest.raises(ValueError, match=r"x_[is] = 1e\+306 mm") as err:
         fit_p(scan, GEOM, RHO0)
     assert not isinstance(err.value, DegenerateScanError)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("peak_counts, noiseless, message", [
+    (math.nan, False, "peak_counts must be finite and positive, got nan"),
+    (math.inf, True, "peak_counts must be finite and positive, got inf"),
+    (0.0, True, "peak_counts must be finite and positive, got 0.0"),
+    (1.7e308, True, "peak_counts 1.7e+308 overflows the mean counts"),
+    (1e300, False, "peak_counts 1e+300 puts the mean counts above 9.22"),
+], ids=["nan", "inf", "zero", "overflow", "above-poisson-limit"])
+def test_peak_counts_is_rejected_under_its_own_name(peak_counts, noiseless, message):
+    xs = np.linspace(-0.5, 0.5, 21)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synthesize_scan(GEOM, RHO0, 0.5, "signal", 0.0, xs, peak_counts, seed=1, noiseless=noiseless)
+
+
+@pytest.mark.filterwarnings("error")
+def test_peak_counts_up_to_the_poisson_limit_is_sampled():
+    # the limit is numpy's own: it samples this mean and refuses the next float up
+    rng = np.random.default_rng(0)
+    rng.poisson(optics._POISSON_MEAN_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(optics._POISSON_MEAN_MAX, np.inf))
+    # scaling by max(P) can round the top mean one step above peak_counts
+    xs = np.linspace(-0.5, 0.5, 21)
+    peak = np.nextafter(optics._POISSON_MEAN_MAX, 0.0)
+    scan = synthesize_scan(GEOM, RHO0, 0.5, "signal", 0.0, xs, peak, seed=1)
+    assert np.all(np.isfinite(scan.counts)) and scan.counts.max() > 0.99 * peak
 
 
 def test_non_finite_pattern_position_is_rejected():
