@@ -10,8 +10,8 @@ import argparse
 import numpy as np
 
 from slitsim.datasets import MEASURED_CONCURRENCE, damping_counts
-from slitsim.dynamics import no_jump_conditional_state, no_jump_survival, resolve_convention
-from slitsim.experiment import SlitStatePrep, prepare_state
+from slitsim.dynamics import resolve_convention
+from slitsim.experiment import SlitStatePrep, apply_sagnac, prepare_state
 from slitsim.qcore import i_concurrence
 
 
@@ -33,9 +33,11 @@ def main():
              "gamma_t concurrence survival measured measured_sigma"]
     measured = {gt: val for gt, val in MEASURED_CONCURRENCE.items()}
     grid = sorted(set(np.linspace(0.0, args.max_gamma_t, args.points)) | set(measured))
+    concurrences = []
     for gt in grid:
-        conc = i_concurrence(no_jump_conditional_state(psi0, gt, convention))
-        surv = no_jump_survival(psi0, gt, convention)
+        evolved, surv = apply_sagnac(psi0, gt, convention)
+        conc = i_concurrence(evolved)
+        concurrences.append(conc)
         if gt in measured:
             m, s = measured[gt]
             tail = f"{m} {s}"
@@ -45,7 +47,7 @@ def main():
 
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    peak = max(grid, key=lambda gt: i_concurrence(no_jump_conditional_state(psi0, gt, convention)))
+    peak = grid[concurrences.index(max(concurrences))]
     print(f"wrote {args.out} ({len(grid)} rows); concurrence peaks near gamma_t = {peak:.3f}")
 
 

@@ -22,14 +22,11 @@ from .dynamics import (
     integrate_master,
     jump_step,
     lindblad_rhs,
-    no_jump_conditional_state,
     no_jump_step,
-    no_jump_survival,
     run_trajectories,
 )
 from .experiment import (
     CountsTable,
-    SagnacSchedule,
     SlitStatePrep,
     anti_correlated_block,
     apply_sagnac,
@@ -37,7 +34,6 @@ from .experiment import (
     populations,
     prepare_state,
     reconstruct_state,
-    sagnac_schedule,
     simulate_counts,
 )
 from .film import FilmSchedule, NonRepresentableP, compile_film, effective_channel, mask_phases

@@ -21,12 +21,10 @@ from .dynamics import (
     TrajectoryConfig,
     damping_lindblad,
     integrate_master,
-    no_jump_conditional_state,
-    no_jump_survival,
     resolve_convention,
     run_trajectories,
 )
-from .experiment import SlitStatePrep, anti_correlated_block, prepare_state
+from .experiment import SlitStatePrep, anti_correlated_block, apply_sagnac, prepare_state
 from .film import compile_film, effective_channel
 from .optics import OpticalGeometry, fit_p, synthesize_scan, x_pi
 from .qcore import DensityMatrix, PureBipartiteState, i_concurrence, trace_distance
@@ -95,8 +93,7 @@ def _cmd_damp(args) -> int:
     state = fileio.parse_state(fileio.read_text(args.state))
     if not isinstance(state, PureBipartiteState):
         raise ValueError("damp expects a pure bipartite state file")
-    evolved = no_jump_conditional_state(state, args.gamma_t, convention)
-    survival = no_jump_survival(state, args.gamma_t, convention)
+    evolved, survival = apply_sagnac(state, args.gamma_t, convention)
     print(f"convention: {convention}")
     print(f"concurrence: {i_concurrence(evolved):.4f}")
     print(f"survival probability: {survival:.6f}")
@@ -207,7 +204,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_film)
 
-    p = sub.add_parser("damp", help="jump-free damping evolution of an anti-diagonal state")
+    p = sub.add_parser("damp", help="jump-free damping (the Sagnac filter) of a pure pair state")
     p.add_argument("--state", required=True)
     p.add_argument("--gamma-t", type=float, required=True)
     p.add_argument("--convention", default="amplitude",

@@ -1,4 +1,4 @@
-"""Open-system time evolution: master equation, trajectories, no-jump filtering.
+"""Open-system time evolution: master equation, trajectories, jump-free factors.
 
 The damping generator used throughout is
 
@@ -10,7 +10,9 @@ is dp = 2 gamma <a+ a> dt.  Those three pieces are mutually consistent and
 are the package default ("amplitude" convention).  Measured population
 series are sometimes quoted against the halved rate where level-n
 *populations* decay as exp(-n gamma t); pass convention="population" to
-select that reading.
+select that reading.  The jump-free factors exp(-r gamma t n) come from
+one helper, which experiment.apply_sagnac applies to the signal arm of a
+pair state.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ComplexOperator, DensityMatrix, PureBipartiteState
+from .qcore import ComplexOperator, DensityMatrix
 from .rng import derive_rng
 
 # Per-step jump probability stays below this bound, keeping the first-order
@@ -216,8 +218,7 @@ def no_jump_step(model: DampingModel, psi: np.ndarray, dt: float) -> tuple[np.nd
     v = np.asarray(psi, dtype=np.complex128)
     if v.shape != (model.dim,):
         raise ValueError(f"expected a {model.dim}-vector")
-    levels = np.arange(model.dim)
-    scaled = v * np.exp(-model.gamma * dt * levels)
+    scaled = v * _jump_free_factors(model.dim, model.gamma * dt)
     survival = float(np.sum(np.abs(scaled) ** 2))
     if survival == 0.0:
         raise ValueError("no-jump evolution annihilated the state; dt inconsistent")
@@ -338,33 +339,3 @@ def run_trajectories(model: DampingModel, psi0: np.ndarray, t: float, cfg: Traje
     rho = (final.T * weights) @ final.conj()
     return DensityMatrix(0.5 * (rho + rho.conj().T))
 
-
-def no_jump_conditional_state(
-    psi0: PureBipartiteState, gamma_t: float, convention: str = AMPLITUDE
-) -> PureBipartiteState:
-    """Conditional pair state after a jump-free signal evolution of length gamma*t.
-
-    The input must be in anti-diagonal Schmidt form (amplitude on |l>_s
-    paired with idler level d-1-l only).  Signal level l is damped by
-    exp(-l gamma t) under the default amplitude convention, by
-    exp(-l gamma t / 2) under the population convention, then the state is
-    renormalized.
-    """
-    c = psi0.amplitudes
-    if psi0.dim_s != psi0.dim_i:
-        raise ValueError("expected equal signal and idler dimensions")
-    d = psi0.dim_s
-    anti = np.fliplr(np.eye(d)) > 0
-    if np.max(np.abs(c[~anti])) > 1e-12:
-        raise ValueError("state is not in anti-diagonal Schmidt form")
-    scaled = c * _jump_free_factors(d, gamma_t, convention)[:, None]
-    norm = np.linalg.norm(scaled)
-    if norm == 0.0:
-        raise ValueError("evolution annihilated the state")
-    return PureBipartiteState(scaled / norm)
-
-
-def no_jump_survival(psi0: PureBipartiteState, gamma_t: float, convention: str = AMPLITUDE) -> float:
-    """Probability that the signal evolves for gamma*t without a jump."""
-    factors = _jump_free_factors(psi0.dim_s, gamma_t, convention)
-    return float(np.sum(np.abs(psi0.amplitudes * factors[:, None]) ** 2))

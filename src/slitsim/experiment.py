@@ -1,6 +1,6 @@
 """Optical-experiment models: slit-state preparation, the Sagnac amplitude
-filter realizing jump-free damping, coincidence counting, and state and
-concurrence estimation from count tables.
+filter realizing jump-free damping at any d and in either rate convention,
+coincidence counting, and state and concurrence estimation from count tables.
 
 Slit labels run over {-(d-1)/2, ..., (d-1)/2} on the bench; internally
 everything uses oscillator levels {0, ..., d-1} (level = label + (d-1)/2),
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _jump_free_factors
+from .dynamics import AMPLITUDE, _jump_free_factors
 from .qcore import DensityMatrix, PureBipartiteState, _i_concurrence
 from .rng import derive_rng
 
@@ -37,12 +37,8 @@ class SlitStatePrep:
             raise ValueError(f"amplitudes must be finite, got {amps}")
         if any(a < 0 for a in amps):
             raise ValueError("amplitudes must be non-negative")
-        with np.errstate(over="ignore"):
-            squares = float(np.dot(amps, amps))  # the sum prepare_state's norm takes
-        if squares == 0.0:
+        if max(amps) == 0.0:
             raise ValueError("amplitudes are all zero")
-        if not math.isfinite(squares):
-            raise ValueError("amplitudes are too large: the sum of their squares overflows")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -53,6 +49,8 @@ class SlitStatePrep:
 def prepare_state(prep: SlitStatePrep) -> PureBipartiteState:
     """Place the normalized weights on anti-correlated pairs |l>_s |d-1-l>_i."""
     amps = np.asarray(prep.amplitudes, dtype=float)
+    # an exact power-of-two scale keeps the squares in the norm from overflowing or underflowing
+    amps = np.ldexp(amps, -np.frexp(amps.max())[1])
     amps = amps / np.linalg.norm(amps)
     c = np.zeros((prep.d, prep.d), dtype=np.complex128)
     for level, a in enumerate(amps):
@@ -78,52 +76,25 @@ def anti_correlated_block(psi: PureBipartiteState) -> DensityMatrix:
     return DensityMatrix(np.outer(pair, pair.conj()))
 
 
-@dataclass(frozen=True)
-class SagnacSchedule:
-    """Per-level transmissions t_l = sin(phi_l / 2) of the interferometer."""
+def apply_sagnac(
+    psi: PureBipartiteState, gamma_t: float, convention: str = AMPLITUDE
+) -> tuple[PureBipartiteState, float]:
+    """Filter the signal arm through the interferometer set to a jump-free damping of gamma*t.
 
-    gamma_t: float
-    transmissions: tuple[float, float, float]
-    phases: tuple[float, float, float]
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.transmissions)
-        ph = tuple(float(p) for p in self.phases)
-        if len(ts) != 3 or len(ph) != 3:
-            raise ValueError("schedule covers exactly three levels")
-        for t, p in zip(ts, ph):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"transmission {t} outside [0, 1]")
-            if abs(t - math.sin(p / 2.0)) > 1e-12:
-                raise ValueError("transmissions and phases are inconsistent")
-        if self.gamma_t > 0 and any(ts[i] < ts[i + 1] for i in range(2)):
-            raise ValueError("transmissions must be non-increasing in the level")
-        object.__setattr__(self, "transmissions", ts)
-        object.__setattr__(self, "phases", ph)
-
-
-def sagnac_schedule(gamma_t: float) -> SagnacSchedule:
-    """Transmissions exp(-l gamma t) with phases back-computed as 2 arcsin(t_l)."""
-    ts = tuple(float(t) for t in _jump_free_factors(3, gamma_t))
-    phases = tuple(2.0 * math.asin(t) for t in ts)
-    return SagnacSchedule(gamma_t, ts, phases)
-
-
-def apply_sagnac(psi: PureBipartiteState, sched: SagnacSchedule) -> tuple[PureBipartiteState, float]:
-    """Filter the signal arm through the interferometer.
-
-    Signal level l is transmitted with amplitude t_l; the returned success
-    probability is the squared norm before renormalization.  On states in
-    anti-diagonal Schmidt form this equals the jump-free damping evolution
-    at the schedule's gamma*t.
+    Signal level l is transmitted with amplitude t_l = exp(-r gamma t l),
+    r = 1 under the amplitude convention and 1/2 under the population
+    convention (on the bench, the level-l phase is 2 arcsin t_l).  Scaling
+    the signal rows and renormalizing is the jump-free damping map itself,
+    for any d x d pair state.  Returns the renormalized state and the
+    success probability, the squared norm before renormalization.
     """
-    if psi.dim_s != 3:
-        raise ValueError("the interferometer filters a three-level signal")
-    scaled = psi.amplitudes * np.asarray(sched.transmissions)[:, None]
-    prob = float(np.sum(np.abs(scaled) ** 2))
-    if prob == 0.0:
-        raise ValueError("filter annihilated the state")
-    return PureBipartiteState(scaled / math.sqrt(prob)), prob
+    if psi.dim_s != psi.dim_i:
+        raise ValueError("expected equal signal and idler dimensions")
+    scaled = psi.amplitudes * _jump_free_factors(psi.dim_s, gamma_t, convention)[:, None]
+    norm = np.linalg.norm(scaled)
+    if norm == 0.0:
+        raise ValueError("evolution annihilated the state")
+    return PureBipartiteState(scaled / norm), float(np.sum(np.abs(scaled) ** 2))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Shared random-object builders for the test suite."""
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from slitsim.qcore import DensityMatrix, PureBipartiteState
@@ -31,3 +33,21 @@ def random_schmidt_qutrit(rng: np.random.Generator) -> PureBipartiteState:
     for level, a in enumerate(amps):
         c[level, 2 - level] = a
     return PureBipartiteState(c)
+
+
+def damping_kraus(d: int, gamma_t: float, k: int) -> np.ndarray:
+    """Kraus operator k of the closed-form damping channel (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)):
+    K_k = sum_n sqrt(C(n, k)) e^{-(n-k) gamma t} (1 - e^{-2 gamma t})^{k/2} |n-k><n|."""
+    loss = -np.expm1(-2.0 * gamma_t)
+    kraus = np.zeros((d, d))
+    for n in range(k, d):
+        kraus[n - k, n] = np.sqrt(comb(n, k)) * np.exp(-(n - k) * gamma_t) * loss ** (k / 2)
+    return kraus
+
+
+def jump_free_oracle(psi: PureBipartiteState, gamma_t: float, convention: str = "amplitude"):
+    """(K_0 x I) psi renormalized, and its squared norm; the population convention halves the rate."""
+    rate = {"amplitude": 1.0, "population": 0.5}[convention]
+    filtered = damping_kraus(psi.dim_s, rate * gamma_t, 0) @ psi.amplitudes
+    survival = float(np.sum(np.abs(filtered) ** 2))
+    return filtered / np.sqrt(survival), survival

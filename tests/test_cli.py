@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import slitsim
+from conftest import jump_free_oracle, random_pure
 from slitsim.cli import _build_parser, main
-from slitsim.fileio import format_scan, parse_film, parse_scan, parse_state
+from slitsim.fileio import format_scan, format_state, parse_film, parse_scan, parse_state
 from slitsim.optics import OpticalGeometry, PatternScan
 from slitsim.qcore import DensityMatrix, PureBipartiteState, i_concurrence
 from slitsim.reports import P_GRID
@@ -43,13 +44,26 @@ def test_prepare_requires_amplitudes(tmp_path, capsys):
 @pytest.mark.parametrize("amps, message", [
     ("1,inf,1", "error: amplitudes must be finite"),
     ("nan,1,1", "error: amplitudes must be finite"),
-    ("1e200,1e200,1", "error: amplitudes are too large: the sum of their squares overflows"),
 ])
 def test_prepare_names_amplitudes_that_cannot_be_normalized(tmp_path, capsys, amps, message):
     assert run("prepare", "--d", 3, "--amps", amps, "--out", tmp_path / "s.txt") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message)
     assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amps, concurrence", [
+    ("1e200,1e200,1", "0.8660"),
+    ("1e-160,1e-160,1e-160", "1.0000"),
+    ("1e-200,1e-200,1e-200", "1.0000"),
+])
+def test_prepare_normalizes_amplitudes_of_any_scale(tmp_path, capsys, amps, concurrence):
+    out = tmp_path / "s.txt"
+    assert run("prepare", "--d", 3, "--amps", amps, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out == f"concurrence: {concurrence}\n"
+    assert isinstance(parse_state(out.read_text()), PureBipartiteState)
 
 
 def test_prepare_bytes_are_pinned(tmp_path, capsys):
@@ -273,6 +287,27 @@ def test_damp_at_overflowing_gamma_t_keeps_only_level_zero(tmp_path, capsys, d, 
     assert "concurrence: 0.0000" in captured.out
     evolved = parse_state(out.read_text()).amplitudes
     assert evolved[0, d - 1] == 1.0 and np.count_nonzero(evolved) == 1
+
+
+@pytest.mark.parametrize("convention", ["amplitude", "population"])
+def test_damp_filters_a_general_pair_state(tmp_path, capsys, convention):
+    # any d x d pair state, not only the anti-diagonal ones prepare writes
+    psi = random_pure(np.random.default_rng(4), 4, 4)
+    state, out = tmp_path / "state.txt", tmp_path / "evolved.txt"
+    state.write_text(format_state(psi))
+    assert run("damp", "--state", state, "--gamma-t", 0.6, "--convention", convention, "--out", out) == 0
+    expect, survival = jump_free_oracle(psi, 0.6, convention)
+    assert np.max(np.abs(parse_state(out.read_text()).amplitudes - expect)) < 1e-12
+    assert f"survival probability: {survival:.6f}" in capsys.readouterr().out
+
+
+def test_damp_names_unequal_signal_and_idler_dimensions(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text(format_state(random_pure(np.random.default_rng(5), 2, 3)))
+    assert run("damp", "--state", state, "--gamma-t", 0.5, "--out", tmp_path / "e.txt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: expected equal signal and idler dimensions"]
+    assert not (tmp_path / "e.txt").exists()
 
 
 def test_trajectories_deterministic_output(tmp_path, capsys):

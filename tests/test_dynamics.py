@@ -1,11 +1,9 @@
-from math import comb
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_schmidt_qutrit
+from conftest import damping_kraus, random_density, random_pure
 from slitsim import dynamics
 from slitsim.dynamics import (
     DampingModel,
@@ -16,13 +14,11 @@ from slitsim.dynamics import (
     integrate_master,
     jump_step,
     lindblad_rhs,
-    no_jump_conditional_state,
     no_jump_step,
-    no_jump_survival,
     resolve_convention,
     run_trajectories,
 )
-from slitsim.experiment import SlitStatePrep, prepare_state, sagnac_schedule
+from slitsim.experiment import SlitStatePrep, apply_sagnac, prepare_state
 from slitsim.qcore import ComplexOperator, DensityMatrix, PureBipartiteState, trace_distance
 from slitsim.rng import derive_rng
 
@@ -113,17 +109,9 @@ def test_lindblad_rhs_matches_the_stagewise_generator(seed):
 
 
 def bosonic_damping(rho, gamma_t):
-    """Closed-form damping channel (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)):
-    K_k = sum_n sqrt(C(n, k)) e^{-(n-k) gamma t} (1 - e^{-2 gamma t})^{k/2} |n-k><n|."""
-    d = rho.shape[0]
-    loss = -np.expm1(-2.0 * gamma_t)
-    out = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        kraus = np.zeros((d, d))
-        for n in range(k, d):
-            kraus[n - k, n] = np.sqrt(comb(n, k)) * np.exp(-(n - k) * gamma_t) * loss ** (k / 2)
-        out += kraus @ rho @ kraus.T
-    return out
+    """The closed-form damping channel, sum_k K_k rho K_k+."""
+    kraus = [damping_kraus(rho.shape[0], gamma_t, k) for k in range(rho.shape[0])]
+    return sum(op @ rho @ op.T for op in kraus)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -200,14 +188,10 @@ def test_lindblad_model_rejects_rate_that_is_not_finite_and_non_negative(rate):
 
 
 @pytest.mark.parametrize("gamma_t", [np.nan, np.inf, -1.0])
-@pytest.mark.parametrize("evolve", [
-    lambda gt: no_jump_conditional_state(prepare_state(SlitStatePrep.uniform(3)), gt),
-    lambda gt: no_jump_survival(prepare_state(SlitStatePrep.uniform(3)), gt),
-    sagnac_schedule,
-], ids=["conditional_state", "survival", "sagnac_schedule"])
-def test_jump_free_maps_reject_gamma_t_that_is_not_finite_and_non_negative(evolve, gamma_t):
+@pytest.mark.parametrize("convention", ["amplitude", "population"])
+def test_jump_free_maps_reject_gamma_t_that_is_not_finite_and_non_negative(convention, gamma_t):
     with pytest.raises(ValueError, match="gamma_t must be finite and non-negative, got"):
-        evolve(gamma_t)
+        apply_sagnac(prepare_state(SlitStatePrep.uniform(3)), gamma_t, convention)
 
 
 def test_no_jump_step_examples():
@@ -425,19 +409,6 @@ def test_jump_count_histogram_follows_the_step_rule_law():
     assert np.max(np.abs(z)) <= 4.0
 
 
-def test_no_jump_conditional_state_examples():
-    psi = anti_diagonal_state([1.0, 1.0, 1.0])
-    assert np.allclose(no_jump_conditional_state(psi, 0.0).amplitudes, psi.amplitudes)
-
-    evolved = no_jump_conditional_state(psi, np.log(2.0))
-    expect = np.array([1.0, 0.5, 0.25]) / np.sqrt(21.0 / 16.0)
-    got = [evolved.amplitudes[level, 2 - level].real for level in range(3)]
-    assert np.allclose(got, expect, atol=1e-12)
-
-    late = no_jump_conditional_state(psi, 50.0)
-    assert late.amplitudes[0, 2].real == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("convention", ["amplitude", "population"])
@@ -445,37 +416,34 @@ def test_jump_free_maps_at_overflowing_gamma_t_keep_only_level_zero(d, conventio
     # -r gamma t l overflows to -inf for the upper levels; exp(-inf) = 0 is the exact limit
     amps = np.arange(1.0, d + 1.0)
     psi = anti_diagonal_state(amps)
-    evolved = no_jump_conditional_state(psi, 1e308, convention)
+    evolved, survival = apply_sagnac(psi, 1e308, convention)
     expect = np.zeros((d, d), dtype=complex)
     expect[0, d - 1] = 1.0
     assert np.array_equal(evolved.amplitudes, expect)
-    assert no_jump_survival(psi, 1e308, convention) == pytest.approx(1.0 / np.sum(amps**2), rel=1e-15)
-
-
-def test_no_jump_conditional_state_rejects_general_states():
-    c = np.zeros((3, 3))
-    c[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        no_jump_conditional_state(PureBipartiteState(c), 0.5)
+    assert survival == pytest.approx(1.0 / np.sum(amps**2), rel=1e-15)
 
 
 @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_no_jump_flow_is_a_semigroup(s, t, seed):
-    psi = random_schmidt_qutrit(np.random.default_rng(seed))
-    two_steps = no_jump_conditional_state(no_jump_conditional_state(psi, s), t)
-    one_step = no_jump_conditional_state(psi, s + t)
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    psi = random_pure(rng, d, d)
+    halfway, first = apply_sagnac(psi, s)
+    two_steps, second = apply_sagnac(halfway, t)
+    one_step, whole = apply_sagnac(psi, s + t)
     assert np.max(np.abs(two_steps.amplitudes - one_step.amplitudes)) < 1e-12
+    # surviving both intervals is surviving the whole
+    assert first * second == pytest.approx(whole, abs=1e-12)
 
 
 def test_population_convention_halves_the_rate():
-    psi = anti_diagonal_state([0.2771, 0.5420, 0.7934])
-    slow = no_jump_conditional_state(psi, 1.0, convention="population")
-    fast = no_jump_conditional_state(psi, 0.5, convention="amplitude")
-    assert np.max(np.abs(slow.amplitudes - fast.amplitudes)) < 1e-12
-    assert no_jump_survival(psi, 1.0, "population") == pytest.approx(
-        no_jump_survival(psi, 0.5, "amplitude"), abs=1e-12
-    )
+    for d in range(2, 7):
+        psi = random_pure(np.random.default_rng(d), d, d)
+        slow, slow_survival = apply_sagnac(psi, 1.0, convention="population")
+        fast, fast_survival = apply_sagnac(psi, 0.5, convention="amplitude")
+        assert np.max(np.abs(slow.amplitudes - fast.amplitudes)) < 1e-12
+        assert slow_survival == pytest.approx(fast_survival, abs=1e-12)
 
 
 def test_convention_aliases():

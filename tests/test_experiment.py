@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_schmidt_qutrit
+from conftest import jump_free_oracle, random_pure
 from slitsim import experiment
 from slitsim.datasets import MEASURED_CONCURRENCE, damping_counts
-from slitsim.dynamics import no_jump_conditional_state, no_jump_survival
 from slitsim.experiment import (
     CountsTable,
     SlitStatePrep,
@@ -16,7 +15,6 @@ from slitsim.experiment import (
     populations,
     prepare_state,
     reconstruct_state,
-    sagnac_schedule,
     simulate_counts,
 )
 from slitsim.qcore import _i_concurrence as i_concurrence_stack
@@ -59,8 +57,10 @@ def test_prepare_validation():
     for amps in ((1.0, np.inf, 1.0), (np.nan, 1.0, 1.0)):
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             SlitStatePrep(3, amps)
-    with pytest.raises(ValueError, match="amplitudes are too large: the sum of their squares overflows"):
-        SlitStatePrep(3, (1e200, 1e200, 1.0))
+    # squares that overflow are no reason to reject: the state depends only on the ratios
+    psi = prepare_state(SlitStatePrep(3, (1e200, 1e200, 1.0)))
+    assert [psi.amplitudes[level, 2 - level].real for level in range(3)] == pytest.approx(
+        [2**-0.5, 2**-0.5, 2**-0.5 * 1e-200], rel=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
@@ -69,48 +69,76 @@ def test_prepare_normalizes_amplitudes_whose_squares_stay_finite():
     assert psi.amplitudes[0, 2].real == psi.amplitudes[1, 1].real == pytest.approx(2 ** -0.5)
 
 
-def test_sagnac_schedule_values():
-    sched = sagnac_schedule(0.0)
-    assert sched.transmissions == (1.0, 1.0, 1.0)
-    assert np.allclose(sched.phases, [np.pi] * 3, atol=1e-12)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 5e-324, 1e300])
+def test_prepare_depends_only_on_the_amplitude_ratios(scale):
+    uniform = prepare_state(SlitStatePrep.uniform(3)).amplitudes
+    assert np.max(np.abs(prepare_state(SlitStatePrep(3, (scale,) * 3)).amplitudes - uniform)) <= 1e-15
+    if scale > 1e-300:  # the table amplitudes times 5e-324 are not representable
+        partial = prepare_state(SlitStatePrep(3, TABLE2_INITIAL_AMPS)).amplitudes
+        scaled = prepare_state(SlitStatePrep(3, tuple(scale * a for a in TABLE2_INITIAL_AMPS)))
+        assert np.max(np.abs(scaled.amplitudes - partial)) <= 1e-15
 
-    sched = sagnac_schedule(0.5)
-    assert np.allclose(sched.transmissions, [1.0, np.exp(-0.5), np.exp(-1.0)], atol=1e-12)
-    # transmissions always equal sin(phi/2)
-    assert np.allclose(sched.transmissions, np.sin(np.array(sched.phases) / 2), atol=1e-12)
 
-    sched = sagnac_schedule(40.0)
-    assert sched.transmissions[0] == 1.0
-    assert sched.transmissions[1] < 1e-15
-    with pytest.raises(ValueError):
-        sagnac_schedule(-0.1)
+def test_prepare_matches_plain_normalization_bit_for_bit():
+    # wherever sum a^2 neither overflows nor underflows, the power-of-two scale changes no bit
+    rng = np.random.default_rng(20151107)
+    for _ in range(3000):
+        d = int(rng.integers(2, 8))
+        if rng.random() < 0.3:
+            amps = rng.integers(0, 1000, size=d).astype(float)
+            amps[0] += 1.0
+        else:
+            amps = 10.0 ** rng.uniform(-150, 150, size=d) * rng.uniform(0.5, 1.0, size=d)
+            amps[rng.random(d) < 0.2] = 0.0
+            amps[0] = 10.0 ** rng.uniform(-150, 150)
+        psi = prepare_state(SlitStatePrep(d, tuple(amps)))
+        got = np.array([psi.amplitudes[level, d - 1 - level] for level in range(d)])
+        assert np.array_equal(got, amps / np.linalg.norm(amps))
 
 
 def test_apply_sagnac_examples():
     psi = prepare_state(SlitStatePrep.uniform(3))
-    out, prob = apply_sagnac(psi, sagnac_schedule(0.0))
-    assert np.allclose(out.amplitudes, psi.amplitudes)
-    assert prob == pytest.approx(1.0, abs=1e-12)
+    out, prob = apply_sagnac(psi, 0.0)
+    assert np.array_equal(out.amplitudes, psi.amplitudes)
+    assert prob == pytest.approx(1.0, abs=1e-15)
 
-    out, prob = apply_sagnac(psi, sagnac_schedule(np.log(2.0)))
+    # transmissions exp(-l gamma t) = 1, 1/2, 1/4
+    out, prob = apply_sagnac(psi, np.log(2.0))
     anti = [out.amplitudes[level, 2 - level].real for level in range(3)]
-    assert np.allclose(np.array(anti) / anti[0], [1.0, 0.5, 0.25], atol=1e-12)
-    assert prob <= 1.0
+    assert np.allclose(anti, np.array([1.0, 0.5, 0.25]) / np.sqrt(21.0 / 16.0), atol=1e-12)
+    assert prob == pytest.approx(21.0 / 48.0, abs=1e-15)
+    # the population convention reads gamma t at half the rate
+    out_pop, prob_pop = apply_sagnac(psi, np.log(4.0), "population")
+    assert np.allclose(out_pop.amplitudes, out.amplitudes, atol=1e-15)
+    assert prob_pop == pytest.approx(prob, abs=1e-15)
+
+    out, prob = apply_sagnac(psi, 0.5)
+    assert np.allclose(prob * 3.0, 1.0 + np.exp(-1.0) + np.exp(-2.0), atol=1e-15)
+
+    # level 0 alone survives a long evolution
+    late, prob = apply_sagnac(psi, 50.0)
+    assert late.amplitudes[0, 2].real == pytest.approx(1.0, abs=1e-15)
+    assert prob == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 @given(st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_sagnac_equals_no_jump_evolution(gamma_t, seed):
-    psi = random_schmidt_qutrit(np.random.default_rng(seed))
-    via_optics, prob = apply_sagnac(psi, sagnac_schedule(gamma_t))
-    via_dynamics = no_jump_conditional_state(psi, gamma_t)
-    assert np.max(np.abs(via_optics.amplitudes - via_dynamics.amplitudes)) < 1e-12
-    assert prob == pytest.approx(no_jump_survival(psi, gamma_t), abs=1e-12)
+    # general complex pair states at d = 2..6 against the k = 0 Kraus operator of bosonic damping
+    rng = np.random.default_rng(seed)
+    for d in range(2, 7):
+        psi = random_pure(rng, d, d)
+        for convention in ("amplitude", "population"):
+            filtered, prob = apply_sagnac(psi, gamma_t, convention)
+            expect, survival = jump_free_oracle(psi, gamma_t, convention)
+            assert np.max(np.abs(filtered.amplitudes - expect)) < 1e-12
+            assert abs(prob - survival) < 1e-12
 
 
 def test_sagnac_success_probability_decreases():
     psi = prepare_state(SlitStatePrep(3, TABLE2_INITIAL_AMPS))
-    probs = [apply_sagnac(psi, sagnac_schedule(gt))[1] for gt in np.linspace(0, 3, 13)]
+    probs = [apply_sagnac(psi, gt)[1] for gt in np.linspace(0, 3, 13)]
     assert all(b < a for a, b in zip(probs, probs[1:]))
 
 
