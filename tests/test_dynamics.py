@@ -188,10 +188,15 @@ def test_lindblad_model_rejects_rate_that_is_not_finite_and_non_negative(rate):
 
 
 @pytest.mark.parametrize("gamma_t", [np.nan, np.inf, -1.0])
-@pytest.mark.parametrize("convention", ["amplitude", "population"])
-def test_jump_free_maps_reject_gamma_t_that_is_not_finite_and_non_negative(convention, gamma_t):
+@pytest.mark.parametrize("evolve", [
+    lambda gt: apply_sagnac(prepare_state(SlitStatePrep.uniform(3)), gt, "amplitude"),
+    # the per-step survival of the trajectory oracle, at gamma = 1 so that dt is gamma t
+    lambda gt: no_jump_step(DampingModel(3, 1.0), np.ones(3) / np.sqrt(3), gt),
+    lambda gt: apply_sagnac(prepare_state(SlitStatePrep.uniform(3)), gt, "population"),
+], ids=["conditional_state", "survival", "population"])
+def test_jump_free_maps_reject_gamma_t_that_is_not_finite_and_non_negative(evolve, gamma_t):
     with pytest.raises(ValueError, match="gamma_t must be finite and non-negative, got"):
-        apply_sagnac(prepare_state(SlitStatePrep.uniform(3)), gamma_t, convention)
+        evolve(gamma_t)
 
 
 def test_no_jump_step_examples():
@@ -407,6 +412,19 @@ def test_jump_count_histogram_follows_the_step_rule_law():
     # binomial z-score of every count; at this fixed seed all lie well inside 4
     z = (hist - n * law) / np.sqrt(n * law * (1.0 - law))
     assert np.max(np.abs(z)) <= 4.0
+
+
+def test_no_jump_conditional_state_examples():
+    psi = anti_diagonal_state([1.0, 1.0, 1.0])
+    assert np.array_equal(apply_sagnac(psi, 0.0)[0].amplitudes, psi.amplitudes)
+
+    evolved, _ = apply_sagnac(psi, np.log(2.0))
+    expect = np.array([1.0, 0.5, 0.25]) / np.sqrt(21.0 / 16.0)
+    got = [evolved.amplitudes[level, 2 - level].real for level in range(3)]
+    assert np.allclose(got, expect, atol=1e-12)
+
+    late, _ = apply_sagnac(psi, 50.0)
+    assert late.amplitudes[0, 2].real == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
