@@ -1,10 +1,11 @@
-"""Shared random-object builders for the test suite."""
+"""Shared random-object builders and oracles for the test suite."""
 from __future__ import annotations
 
 from math import comb
 
 import numpy as np
 
+from slitsim import dynamics
 from slitsim.qcore import DensityMatrix, PureBipartiteState
 
 
@@ -51,3 +52,17 @@ def jump_free_oracle(psi: PureBipartiteState, gamma_t: float, convention: str = 
     filtered = damping_kraus(psi.dim_s, rate * gamma_t, 0) @ psi.amplitudes
     survival = float(np.sum(np.abs(filtered) ** 2))
     return filtered / np.sqrt(survival), survival
+
+
+def rk4_step_loop(model: dynamics.LindbladModel, rho0: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """Reference for dynamics.integrate_master: ``steps`` RK4 steps of h = t / steps, each the
+    Horner polynomial r + h L(r + h/2 L(r + h/3 L(r + h/4 L r))) applied one generator call at a time."""
+    gen = dynamics._generator(model)
+    h = t / steps
+    r = np.array(rho0, dtype=np.complex128)
+    for _ in range(steps):
+        x = r + (h / 4.0) * gen(r)
+        x = r + (h / 3.0) * gen(x)
+        x = r + (h / 2.0) * gen(x)
+        r = r + h * gen(x)
+    return 0.5 * (r + r.conj().T)

@@ -328,13 +328,32 @@ def test_trajectories_deterministic_output(tmp_path, capsys):
         "abada36b3bca327a0eb00e733a3c571c517e62b678ff540d330d6ab43220aadd")
 
 
+@pytest.mark.parametrize("t, stdout_digest, out_digest", [
+    ("0.5", "655f5b1651e23dea6f301a1e894950315efa5c86a26a645a27449c18ce4c2471",
+     "2cb64353e4727f018da87a1785ff2c7398103155cbfb54f2b4fe6d33b2949fb9"),
+    ("1", "3a3755734421cb9103053e1d85494b7a07eea3ded6b9e308412dffdd742834aa",
+     "43e303f72dcdc6681cb2e291efa2c6bba7a74009da42eb22b079342b0a4b81cd"),
+    ("2", "ad4e910887d892bb23d740f09b9bae6ffd83d153f97ac07c50aab275f35d4622",
+     "01ffbfff561bbc73e0be8538fe16b749b13d9a73bb55172dbdd1aadfecfc10fc"),
+])
+def test_trajectories_compare_master_bytes_are_pinned(tmp_path, capsys, t, stdout_digest, out_digest):
+    # the criterion-6 setup; stdout carries the 4-digit trace distance to the RK4 master solution
+    out = tmp_path / "rho.txt"
+    assert run("trajectories", "--dim", 3, "--initial-level", 2, "--gamma", 1, "--n", 10000,
+               "--seed", 0, "--compare-master", "--t", t, "--out", out) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+
+
 @pytest.mark.parametrize("args, message", [
     (("--t", "inf"), "t must be finite and non-negative, got inf"),
     (("--t", "nan"), "t must be finite and non-negative, got nan"),
     (("--t", "1e12"), "exceeds the 1048576 steps allowed"),
     (("--t", "1", "--dt", "1e-300"), "exceeds the 1048576 steps allowed"),
     (("--t", "1", "--gamma", "nan"), "gamma must be finite and non-negative, got nan"),
-], ids=["t-inf", "t-nan", "t-1e12", "dt-1e-300", "gamma-nan"])
+    (("--t", "0.01", "--dim", "17"), "dim must be at most MAX_DIM = 16, got 17"),
+    (("--t", "0.01", "--dim", "100000"), "dim must be at most MAX_DIM = 16, got 100000"),
+], ids=["t-inf", "t-nan", "t-1e12", "dt-1e-300", "gamma-nan", "dim-17", "dim-1e5"])
 @pytest.mark.filterwarnings("error")
 def test_trajectories_reject_unbounded_step_counts(tmp_path, capsys, args, message):
     out = tmp_path / "rho.txt"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import damping_kraus, random_density, random_pure
+from conftest import damping_kraus, random_density, random_pure, rk4_step_loop
 from slitsim import dynamics
 from slitsim.dynamics import (
     DampingModel,
@@ -92,19 +92,23 @@ def stagewise_rhs(model, rho):
     return out
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_lindblad_rhs_matches_the_stagewise_generator(seed):
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 7))
+def random_lindblad_model(rng, d) -> LindbladModel:
+    """A Hermitian H and two jump operators: a and a random normalized b, at rates in [0, 2)."""
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    model = LindbladModel(
+    return LindbladModel(
         d,
         ComplexOperator(h + h.conj().T),
         ((annihilation(d), rng.uniform(0, 2)), (ComplexOperator(b / np.linalg.norm(b)), rng.uniform(0, 2))),
     )
-    rho = random_density(rng, d)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_lindblad_rhs_matches_the_stagewise_generator(seed):
+    rng = np.random.default_rng(seed)
+    model = random_lindblad_model(rng, int(rng.integers(2, 7)))
+    rho = random_density(rng, model.dim)
     assert np.max(np.abs(lindblad_rhs(model, rho).matrix - stagewise_rhs(model, rho.matrix))) < 1e-14
 
 
@@ -114,7 +118,7 @@ def bosonic_damping(rho, gamma_t):
     return sum(op @ rho @ op.T for op in kraus)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, dynamics.MAX_DIM])
 def test_integrate_master_matches_the_closed_form_damping_channel(d):
     gamma = 0.8
     model = damping_lindblad(DampingModel(d, gamma))
@@ -125,6 +129,19 @@ def test_integrate_master_matches_the_closed_form_damping_channel(d):
         for gamma_t in (0.1, 0.7, 2.0):
             rho = integrate_master(model, DensityMatrix(rho0), gamma_t / gamma, 1e-2 / (2.0 * gamma * d))
             assert np.max(np.abs(rho.matrix - bosonic_damping(rho0, gamma_t))) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, dynamics.MAX_DIM])
+@pytest.mark.parametrize("steps", [1, 2, 301, 1024])
+def test_integrate_master_equals_the_rk4_step_loop(d, steps):
+    rng = np.random.default_rng(1000 * d + steps)
+    model = random_lindblad_model(rng, d)
+    rho0 = random_density(rng, d)
+    dt = 0.5 * dynamics.STEP_PROBABILITY_BOUND / (model.max_rate * d)
+    t = steps * dt
+    assert dynamics._step_count(t, dt) == steps
+    rho = integrate_master(model, rho0, t, dt)
+    assert np.max(np.abs(rho.matrix - rk4_step_loop(model, rho0.matrix, t, steps))) <= 1e-12
 
 
 def test_integrate_master_time_zero_is_input():
@@ -179,6 +196,18 @@ def test_step_count_bound_admits_max_steps_exactly():
 def test_damping_model_rejects_gamma_that_is_not_a_finite_rate(gamma):
     with pytest.raises(ValueError, match="gamma must be finite and non-negative"):
         DampingModel(3, gamma)
+
+
+@pytest.mark.parametrize("d", [dynamics.MAX_DIM + 1, 100_000])
+@pytest.mark.parametrize("build", [
+    lambda d: DampingModel(d, 1.0),
+    # the cap is checked before the operators, so they need not match d
+    lambda d: LindbladModel(d, ComplexOperator(np.zeros((3, 3))), ((annihilation(3), 1.0),)),
+], ids=["damping", "lindblad"])
+@pytest.mark.filterwarnings("error")
+def test_models_reject_dimensions_above_the_cap(build, d):
+    with pytest.raises(ValueError, match=f"^dim must be at most MAX_DIM = {dynamics.MAX_DIM}, got {d}$"):
+        build(d)
 
 
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
