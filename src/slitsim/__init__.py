@@ -54,9 +54,6 @@ from .qcore import (
     PureBipartiteState,
     i_concurrence,
     identity,
-    partial_trace,
-    purity,
-    schmidt_coefficients,
     tensor,
     trace_distance,
 )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ComplexOperator, DensityMatrix, identity
+from .qcore import ComplexOperator, DensityMatrix, _check_dim, identity
 
 WEIGHT_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -52,6 +52,7 @@ def dephasing_kraus(d: int) -> list[ComplexOperator]:
     """The d+1 dephasing operators: sign flips K_0..K_{d-1}, then the identity."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dim(d, "d")
     ops = []
     for j in range(d):
         diag = np.ones(d)
@@ -85,6 +86,7 @@ def _uniform_flip_weight(d: int, p: float) -> float:
     most unit weight, so p <= 4/d."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dim(d, "d")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if d * p / 4.0 > 1.0 + WEIGHT_TOL:

@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .experiment import SlitStatePrep, anti_correlated_block, apply_sagnac, prepare_state
 from .film import compile_film, effective_channel
-from .optics import OpticalGeometry, fit_p, synthesize_scan, x_pi
+from .optics import MAX_SCAN_POINTS, MIN_SCAN_SAMPLES, OpticalGeometry, fit_p, synthesize_scan, x_pi
 from .qcore import DensityMatrix, PureBipartiteState, i_concurrence, trace_distance
 
 
@@ -128,6 +128,10 @@ def _cmd_pattern(args) -> int:
     if not args.noiseless and args.seed is None:
         raise ValueError("--seed is required unless --noiseless is given")
     fixed = x_pi(geom) if args.at_xpi else args.fixed_position_mm
+    if not MIN_SCAN_SAMPLES <= args.points <= MAX_SCAN_POINTS:
+        raise ValueError(
+            f"points must lie in [{MIN_SCAN_SAMPLES}, MAX_SCAN_POINTS = {MAX_SCAN_POINTS}], got {args.points}"
+        )
     positions = np.linspace(args.start_mm, args.stop_mm, args.points)
     scan = synthesize_scan(
         geom, rho0, args.p, args.fixed_arm, fixed, positions,

@@ -1,7 +1,7 @@
 """Open-system time evolution: master equation, trajectories, jump-free factors.
 
 The master equation is integrated by RK4 as one matrix power of the step
-superoperator, which holds d^4 entries, so every model has d <= MAX_DIM.
+superoperator, which holds d^4 entries, so every model has d <= qcore.MAX_DIM.
 
 The damping generator used throughout is
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ComplexOperator, DensityMatrix
+from .qcore import ComplexOperator, DensityMatrix, _check_dim
 from .rng import derive_rng
 
 # Per-step jump probability stays below this bound, keeping the first-order
@@ -34,11 +34,6 @@ STEP_PROBABILITY_BOUND = 1e-2
 # Most fixed steps one integration or trajectory ensemble may take; the step
 # count is checked against it before anything is allocated.
 MAX_STEPS = 2**20
-
-# Largest dimension a model may have, checked before anything is allocated.
-# The RK4 step superoperator of integrate_master is d^2 x d^2 and its power
-# costs O(d^6 log steps); past d ~ 20 that is slower than stepping d x d.
-MAX_DIM = 16
 
 # Largest block of per-trajectory uniforms that run_trajectories holds at once.
 _UNIFORM_BLOCK_BYTES = 2**20
@@ -83,8 +78,7 @@ class LindbladModel:
     lindblad_ops: tuple[tuple[ComplexOperator, float], ...]
 
     def __post_init__(self):
-        if self.dim > MAX_DIM:
-            raise ValueError(f"dim must be at most MAX_DIM = {MAX_DIM}, got {self.dim}")
+        _check_dim(self.dim)
         if self.hamiltonian.dim != self.dim:
             raise ValueError("Hamiltonian dimension mismatch")
         ops = tuple((op, float(g)) for op, g in self.lindblad_ops)
@@ -110,8 +104,7 @@ class DampingModel:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dimension must be >= 2, got {self.dim}")
-        if self.dim > MAX_DIM:
-            raise ValueError(f"dim must be at most MAX_DIM = {MAX_DIM}, got {self.dim}")
+        _check_dim(self.dim)
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AMPLITUDE, _jump_free_factors
-from .qcore import DensityMatrix, PureBipartiteState, _i_concurrence
+from .qcore import DensityMatrix, PureBipartiteState, _check_dim, _i_concurrence
 from .rng import derive_rng
 
 
@@ -30,6 +30,7 @@ class SlitStatePrep:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"need at least two slits, got {self.d}")
+        _check_dim(self.d, "d")
         amps = tuple(float(a) for a in self.amplitudes)
         if len(amps) != self.d:
             raise ValueError(f"expected {self.d} amplitudes, got {len(amps)}")
@@ -43,6 +44,7 @@ class SlitStatePrep:
 
     @classmethod
     def uniform(cls, d: int) -> "SlitStatePrep":
+        _check_dim(d, "d")  # before the weights are built
         return cls(d, tuple([1.0] * d))
 
 
@@ -177,9 +179,9 @@ def concurrence_uncertainty(table: CountsTable, *, seed: int, n_resamples: int =
     blocks = []
     for lo in range(0, n_resamples, _RESAMPLE_BLOCK):
         draws = rng.poisson(table.counts, size=(min(_RESAMPLE_BLOCK, n_resamples - lo), *table.counts.shape))
-        draws = draws[draws.any(axis=(1, 2))]
         totals = draws.sum(axis=(1, 2), keepdims=True)
-        blocks.append(_i_concurrence(np.sqrt(draws / totals)))
+        kept = totals[:, 0, 0] > 0  # the counts are non-negative, so these are the non-empty draws
+        blocks.append(_i_concurrence(np.sqrt(draws[kept] / totals[kept])))
     values = np.concatenate(blocks)
     if len(values) < 2:
         raise ValueError(

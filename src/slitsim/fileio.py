@@ -13,11 +13,7 @@ import numpy as np
 from .experiment import CountsTable
 from .film import FilmSchedule, mask_phases
 from .optics import OpticalGeometry, PatternScan
-from .qcore import DensityMatrix, PureBipartiteState
-
-
-# 16 MiB of complex entries, far beyond any slit state: a 'dims' typo must not exhaust memory
-_MAX_STATE_ENTRIES = 1 << 20
+from .qcore import MAX_DIM, DensityMatrix, PureBipartiteState
 
 
 def _fmt(x: float) -> str:
@@ -79,8 +75,8 @@ def parse_state(text: str) -> PureBipartiteState | DensityMatrix:
         shape = (dims[0], dims[0])
     else:
         raise ValueError(f"unknown state kind {kind!r}")
-    if min(shape) < 1 or shape[0] * shape[1] > _MAX_STATE_ENTRIES:
-        raise ValueError(f"state dims must be positive with at most {_MAX_STATE_ENTRIES} entries")
+    if not all(1 <= n <= MAX_DIM for n in dims):  # a 'dims' typo must not exhaust memory
+        raise ValueError(f"state dims must lie in [1, MAX_DIM = {MAX_DIM}], got {' '.join(map(str, dims))}")
     matrix = np.zeros(shape, dtype=np.complex128)
     for line in lines[2:]:
         parts = line.split()

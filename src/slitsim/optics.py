@@ -27,6 +27,8 @@ from .qcore import DensityMatrix
 from .rng import derive_rng
 
 MIN_SCAN_SAMPLES = 8
+# Most positions `pattern` synthesizes, checked before its position grid is allocated.
+MAX_SCAN_POINTS = 2**16
 SIGMA_FLOOR = 1e-6
 # Largest mean numpy's Generator.poisson accepts ("lam value too large" above it).
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small quantum systems.
 
 States and operators are immutable value objects wrapping numpy arrays;
-every operation is a pure function.  Dimensions in this package stay
-small (d <= 16), so everything is stored densely in double precision.
+every operation is a pure function.  Slit states and oscillator models
+stay small (d <= MAX_DIM = 16), so everything is stored densely in double
+precision.
 """
 from __future__ import annotations
 
@@ -16,6 +17,15 @@ TRACE_TOL = 1e-10
 # Counts-derived matrices can carry tiny negative eigenvalues from rounding.
 EIGENVALUE_TOL = 1e-9
 NORM_TOL = 1e-10
+
+# Largest slit-state or oscillator dimension, checked before anything d-sized
+# is allocated: integrate_master's step superoperator alone holds d^4 entries.
+MAX_DIM = 16
+
+
+def _check_dim(d: int, name: str = "dim") -> None:
+    if d > MAX_DIM:
+        raise ValueError(f"{name} must be at most MAX_DIM = {MAX_DIM}, got {d}")
 
 
 def _frozen_complex(entries, name: str) -> np.ndarray:
@@ -124,47 +134,31 @@ def tensor(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
     return ComplexOperator(np.kron(a.matrix, b.matrix))
 
 
-def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
-    """Reduced density matrix of one subsystem of a bipartite state.
-
-    ``dims = (dim_s, dim_i)`` are the subsystem dimensions in the product
-    basis |l>_s |m>_i; ``keep`` selects which subsystem survives.
-    """
-    dim_s, dim_i = dims
-    if rho.dim != dim_s * dim_i:
-        raise ValueError(f"dims {dims} do not factor a {rho.dim}-dimensional matrix")
-    r = rho.matrix.reshape(dim_s, dim_i, dim_s, dim_i)
-    if keep == "signal":
-        reduced = np.einsum("imjm->ij", r)
-    elif keep == "idler":
-        reduced = np.einsum("lilj->ij", r)
-    else:
-        raise ValueError(f"keep must be 'signal' or 'idler', got {keep!r}")
-    return DensityMatrix(reduced)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in (0, 1]."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
-
-
-def schmidt_coefficients(psi: PureBipartiteState) -> np.ndarray:
-    """Squared singular values of the amplitude matrix, descending."""
-    s = np.linalg.svd(psi.amplitudes, compute_uv=False)
-    return np.sort(s**2)[::-1]
-
-
 def _i_concurrence(c: np.ndarray) -> np.ndarray:
-    """I-concurrence of each normalized amplitude matrix in a (..., d, d) stack."""
+    """I-concurrence of each normalized amplitude matrix in a (..., d, d) stack.
+
+    With the stack axes last, g[l, k] = sum_m c_lm conj(c_km) is d products
+    of whole (d, d, ...) slabs and the purity is sum_lk |g_lk|^2, in float64
+    for real input and complex128 only for complex input.  Both sums run in
+    a fixed order (numpy reductions switch to pairwise summation on
+    contiguous axes), so a matrix gets the same bits in any stack.
+    """
     d = c.shape[-1]
     if c.shape[-2] != d or d < 2:
         raise ValueError(f"i_concurrence requires equal subsystem dimensions >= 2, got {c.shape[-2:]}")
-    c = np.asarray(c, dtype=np.complex128)
-    flat = (c @ np.conj(np.swapaxes(c, -1, -2))).reshape(c.shape[:-2] + (d * d,))
-    # one row-times-column product per matrix: the conj(x) . x inner product of np.vdot
-    pur = (np.conj(flat)[..., None, :] @ flat[..., :, None])[..., 0, 0].real
+    dtype = np.complex128 if np.iscomplexobj(c) else np.float64
+    a = np.ascontiguousarray(c.reshape(-1, d, d).transpose(1, 2, 0), dtype=dtype)
+    b = a.conj() if dtype is np.complex128 else a
+    g = a[:, None, 0] * b[None, :, 0]
+    for m in range(1, d):
+        g += a[:, None, m] * b[None, :, m]
+    g = g.reshape(d * d, -1)
+    terms = g.real**2 + g.imag**2 if dtype is np.complex128 else np.square(g, out=g)
+    pur = terms[0].copy()
+    for term in terms[1:]:
+        pur += term
     omega = math.sqrt(2.0 * (d - 1) / d)
-    return np.sqrt(np.maximum(2.0 * (1.0 - pur), 0.0)) / omega
+    return (np.sqrt(np.maximum(2.0 * (1.0 - pur), 0.0)) / omega).reshape(c.shape[:-2])
 
 
 def i_concurrence(psi: PureBipartiteState) -> float:

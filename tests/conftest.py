@@ -9,6 +9,36 @@ from slitsim import dynamics
 from slitsim.qcore import DensityMatrix, PureBipartiteState
 
 
+def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
+    """Reduced density matrix of one subsystem of a bipartite state.
+
+    ``dims = (dim_s, dim_i)`` are the subsystem dimensions in the product
+    basis |l>_s |m>_i; ``keep`` selects which subsystem survives.
+    """
+    dim_s, dim_i = dims
+    if rho.dim != dim_s * dim_i:
+        raise ValueError(f"dims {dims} do not factor a {rho.dim}-dimensional matrix")
+    r = rho.matrix.reshape(dim_s, dim_i, dim_s, dim_i)
+    if keep == "signal":
+        reduced = np.einsum("imjm->ij", r)
+    elif keep == "idler":
+        reduced = np.einsum("lilj->ij", r)
+    else:
+        raise ValueError(f"keep must be 'signal' or 'idler', got {keep!r}")
+    return DensityMatrix(reduced)
+
+
+def purity(rho: DensityMatrix) -> float:
+    """Tr(rho^2), in (0, 1]."""
+    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+
+
+def schmidt_coefficients(psi: PureBipartiteState) -> np.ndarray:
+    """Squared singular values of the amplitude matrix, descending."""
+    s = np.linalg.svd(psi.amplitudes, compute_uv=False)
+    return np.sort(s**2)[::-1]
+
+
 def random_density(rng: np.random.Generator, d: int) -> DensityMatrix:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = a @ a.conj().T

@@ -12,11 +12,25 @@ from slitsim.channels import (
     dephasing_kraus,
     uniform_dephasing_channel,
 )
-from slitsim.qcore import DensityMatrix, identity
+from slitsim.film import compile_film
+from slitsim.qcore import MAX_DIM, DensityMatrix, identity
 
 
 def maximally_coherent(d: int) -> DensityMatrix:
     return DensityMatrix(np.full((d, d), 1.0 / d))
+
+
+@pytest.mark.parametrize("build", [
+    dephasing_kraus,
+    lambda d: uniform_dephasing_channel(d, 0.0),
+    lambda d: compile_film(d, 0.0),
+], ids=["kraus", "uniform-channel", "film"])
+@pytest.mark.parametrize("d", [MAX_DIM + 1, 10**12])
+@pytest.mark.filterwarnings("error")
+def test_dephasing_rejects_dimensions_above_the_cap(build, d):
+    with pytest.raises(ValueError, match=f"^d must be at most MAX_DIM = {MAX_DIM}, got {d}$"):
+        build(d)
+    assert len(dephasing_kraus(MAX_DIM)) == MAX_DIM + 1
 
 
 def test_dephasing_kraus_entries():

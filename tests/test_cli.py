@@ -363,6 +363,47 @@ def test_trajectories_reject_unbounded_step_counts(tmp_path, capsys, args, messa
     assert not out.exists()
 
 
+def _scan_file(tmp_path) -> Path:
+    scan = tmp_path / "scan.txt"
+    assert run("pattern", "--p", 0.5, "--noiseless", "--points", 9, "--out", scan) == 0
+    return scan
+
+
+def _state_file(tmp_path, dims: str) -> Path:
+    path = tmp_path / "big.txt"
+    path.write_text(f"kind {'pure' if ' ' in dims else 'density'}\ndims {dims}\n0 0 1 0\n")
+    return path
+
+
+@pytest.mark.parametrize("command, message", [
+    (lambda tmp: ("prepare", "--d", 100000, "--uniform"), "d must be at most MAX_DIM = 16, got 100000"),
+    (lambda tmp: ("prepare", "--d", 17, "--amps", ",".join(["1"] * 17)), "d must be at most MAX_DIM = 16, got 17"),
+    (lambda tmp: ("film", "--d", 100000, "--p", 0), "d must be at most MAX_DIM = 16, got 100000"),
+    (lambda tmp: ("film", "--d", 17, "--p", 0), "d must be at most MAX_DIM = 16, got 17"),
+    (lambda tmp: ("pattern", "--d", 100000, "--p", 0.5, "--noiseless"), "d must be at most MAX_DIM = 16, got 100000"),
+    (lambda tmp: ("fit-p", "--d", 100000, "--scan", _scan_file(tmp)), "d must be at most MAX_DIM = 16, got 100000"),
+    (lambda tmp: ("dephase", "--state", _state_file(tmp, "1024"), "--p", 0.1),
+     "state dims must lie in [1, MAX_DIM = 16], got 1024"),
+    (lambda tmp: ("damp", "--state", _state_file(tmp, "17 17"), "--gamma-t", 0.1),
+     "state dims must lie in [1, MAX_DIM = 16], got 17 17"),
+    (lambda tmp: ("pattern", "--p", 0.5, "--noiseless", "--points", 10**10),
+     "points must lie in [8, MAX_SCAN_POINTS = 65536], got 10000000000"),
+    (lambda tmp: ("pattern", "--p", 0.5, "--noiseless", "--points", 0),
+     "points must lie in [8, MAX_SCAN_POINTS = 65536], got 0"),
+], ids=["prepare-uniform-1e5", "prepare-amps-17", "film-1e5", "film-17", "pattern-1e5", "fit-p-1e5",
+        "dephase-1024", "damp-17", "pattern-points-1e10", "pattern-points-0"])
+@pytest.mark.filterwarnings("error")
+def test_commands_reject_sizes_above_their_caps_before_allocating(tmp_path, capsys, command, message):
+    args = command(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out.txt"
+    argv = args if args[0] == "fit-p" else (*args, "--out", out)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_pattern_requires_seed(tmp_path):
     assert run("pattern", "--p", 0.5, "--out", tmp_path / "scan.txt") == 1
     assert not (tmp_path / "scan.txt").exists()

@@ -19,7 +19,7 @@ from slitsim.dynamics import (
     run_trajectories,
 )
 from slitsim.experiment import SlitStatePrep, apply_sagnac, prepare_state
-from slitsim.qcore import ComplexOperator, DensityMatrix, PureBipartiteState, trace_distance
+from slitsim.qcore import MAX_DIM, ComplexOperator, DensityMatrix, PureBipartiteState, trace_distance
 from slitsim.rng import derive_rng
 
 
@@ -118,7 +118,7 @@ def bosonic_damping(rho, gamma_t):
     return sum(op @ rho @ op.T for op in kraus)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, dynamics.MAX_DIM])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, MAX_DIM])
 def test_integrate_master_matches_the_closed_form_damping_channel(d):
     gamma = 0.8
     model = damping_lindblad(DampingModel(d, gamma))
@@ -131,7 +131,7 @@ def test_integrate_master_matches_the_closed_form_damping_channel(d):
             assert np.max(np.abs(rho.matrix - bosonic_damping(rho0, gamma_t))) < 1e-10
 
 
-@pytest.mark.parametrize("d", [2, 3, 6, dynamics.MAX_DIM])
+@pytest.mark.parametrize("d", [2, 3, 6, MAX_DIM])
 @pytest.mark.parametrize("steps", [1, 2, 301, 1024])
 def test_integrate_master_equals_the_rk4_step_loop(d, steps):
     rng = np.random.default_rng(1000 * d + steps)
@@ -198,7 +198,7 @@ def test_damping_model_rejects_gamma_that_is_not_a_finite_rate(gamma):
         DampingModel(3, gamma)
 
 
-@pytest.mark.parametrize("d", [dynamics.MAX_DIM + 1, 100_000])
+@pytest.mark.parametrize("d", [MAX_DIM + 1, 100_000])
 @pytest.mark.parametrize("build", [
     lambda d: DampingModel(d, 1.0),
     # the cap is checked before the operators, so they need not match d
@@ -206,7 +206,7 @@ def test_damping_model_rejects_gamma_that_is_not_a_finite_rate(gamma):
 ], ids=["damping", "lindblad"])
 @pytest.mark.filterwarnings("error")
 def test_models_reject_dimensions_above_the_cap(build, d):
-    with pytest.raises(ValueError, match=f"^dim must be at most MAX_DIM = {dynamics.MAX_DIM}, got {d}$"):
+    with pytest.raises(ValueError, match=f"^dim must be at most MAX_DIM = {MAX_DIM}, got {d}$"):
         build(d)
 
 

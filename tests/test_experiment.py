@@ -19,7 +19,7 @@ from slitsim.experiment import (
     simulate_counts,
 )
 from slitsim.qcore import _i_concurrence as i_concurrence_stack
-from slitsim.qcore import i_concurrence
+from slitsim.qcore import MAX_DIM, i_concurrence
 from slitsim.rng import child_seed, derive_rng
 
 TABLE2_INITIAL_AMPS = (0.2771, 0.5420, 0.7934)
@@ -47,6 +47,19 @@ def test_prepare_product_state_has_no_entanglement():
 def test_prepare_partial_state_concurrence():
     psi = prepare_state(SlitStatePrep(3, TABLE2_INITIAL_AMPS))
     assert i_concurrence(psi) == pytest.approx(0.876, abs=5e-4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: SlitStatePrep.uniform(d),
+    # the cap is checked before the amplitudes, so they need not match d
+    lambda d: SlitStatePrep(d, (1.0,)),
+], ids=["uniform", "amplitudes"])
+@pytest.mark.parametrize("d", [MAX_DIM + 1, 10**12])
+@pytest.mark.filterwarnings("error")
+def test_slit_state_prep_rejects_dimensions_above_the_cap(build, d):
+    with pytest.raises(ValueError, match=f"^d must be at most MAX_DIM = {MAX_DIM}, got {d}$"):
+        build(d)
+    assert prepare_state(SlitStatePrep.uniform(MAX_DIM)).dim_s == MAX_DIM
 
 
 @pytest.mark.filterwarnings("error")

@@ -228,6 +228,7 @@ def test_parsers_reject_mutated_documents_with_value_error(name, data):
     (parse_state, "kind pure\ndims 2 100000000\n0 0 1 0\n"),
     (parse_state, "kind density\ndims 100000\n0 0 1 0\n"),
     (parse_state, "kind density\ndims 0\n"),
+    (parse_state, "kind pure\ndims 3 17\n0 0 1 0\n"),
     # film phases are numbers equal to the frame's mask: pi at the flipped slit, 0 elsewhere
     (parse_film, "d 2\nn_frames 2\n2 nan banana\n0 0 0\n"),
     (parse_film, "d 2\nn_frames 2\n2 0 zero\n0 3.141592653589793 0\n"),
@@ -237,6 +238,7 @@ def test_parsers_reject_mutated_documents_with_value_error(name, data):
     (parse_film, "d 2\nn_frames 2\n2 3.141592653589793 0\n0 3.141592653589793 0\n"),
 ], ids=["counts-nan-gamma_t", "counts-entry-2^64", "scan-inf-geometry", "scan-inf-fixed-position",
         "scan-nan-p_true", "state-pure-oversized", "state-density-oversized", "state-zero-dims",
+        "state-dim-above-cap",
         "film-nan-and-text-phases", "film-text-phase", "film-inf-phase", "film-nan-phase",
         "film-pi-at-wrong-slit", "film-pi-on-identity-frame"])
 def test_parsers_reject_non_finite_and_oversized_values(parser, text):

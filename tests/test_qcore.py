@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pure, random_unitary
+from conftest import partial_trace, purity, random_pure, random_unitary, schmidt_coefficients
 from slitsim.qcore import (
+    MAX_DIM,
     ComplexOperator,
     DensityMatrix,
     PureBipartiteState,
+    _i_concurrence,
     i_concurrence,
     identity,
-    partial_trace,
-    purity,
-    schmidt_coefficients,
     tensor,
     trace_distance,
 )
@@ -130,6 +129,37 @@ def test_concurrence_same_from_either_subsystem(seed):
     c_i = np.sqrt(max(2 * (1 - purity(partial_trace(rho, (3, 3), "idler"))), 0.0)) / omega
     assert abs(c_s - c_i) < 1e-12
     assert i_concurrence(psi) == pytest.approx(c_s, abs=1e-10)
+
+
+def _normalized_stack(rng, shape, d, complex_entries):
+    c = rng.normal(size=(*shape, d, d))
+    if complex_entries:
+        c = c + 1j * rng.normal(size=c.shape)
+    return c / np.sqrt(np.sum(np.abs(c) ** 2, axis=(-2, -1), keepdims=True))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("shape", [(1,), (7,), (2, 5)])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_concurrence_equals_each_matrix_bit_for_bit(d, shape, complex_entries):
+    rng = np.random.default_rng([d, len(shape), shape[-1], complex_entries])
+    c = _normalized_stack(rng, shape, d, complex_entries)
+    stacked = _i_concurrence(c)
+    assert stacked.shape == shape
+    assert stacked.dtype == np.float64
+    for idx in np.ndindex(shape):
+        assert stacked[idx] == _i_concurrence(c[idx])
+        assert stacked[idx] == i_concurrence(PureBipartiteState(c[idx]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, MAX_DIM])
+def test_stacked_concurrence_matches_the_schmidt_purity(d):
+    rng = np.random.default_rng(d)
+    c = _normalized_stack(rng, (50,), d, complex_entries=True)
+    omega = np.sqrt(2 * (d - 1) / d)
+    for got, amplitudes in zip(_i_concurrence(c), c):
+        lam = schmidt_coefficients(PureBipartiteState(amplitudes))
+        assert got == pytest.approx(np.sqrt(max(2 * (1 - np.sum(lam**2)), 0.0)) / omega, abs=1e-12)
 
 
 def test_schmidt_examples():
