@@ -20,9 +20,6 @@ from .dynamics import (
     annihilation,
     damping_lindblad,
     integrate_master,
-    jump_step,
-    lindblad_rhs,
-    no_jump_step,
     run_trajectories,
 )
 from .experiment import (
@@ -34,7 +31,6 @@ from .experiment import (
     populations,
     prepare_state,
     reconstruct_state,
-    simulate_counts,
 )
 from .film import FilmSchedule, NonRepresentableP, compile_film, effective_channel, mask_phases
 from .optics import (
@@ -54,7 +50,6 @@ from .qcore import (
     PureBipartiteState,
     i_concurrence,
     identity,
-    tensor,
     trace_distance,
 )
 

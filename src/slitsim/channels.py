@@ -50,8 +50,6 @@ class WeightedKrausSet:
 
 def dephasing_kraus(d: int) -> list[ComplexOperator]:
     """The d+1 dephasing operators: sign flips K_0..K_{d-1}, then the identity."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     _check_dim(d, "d")
     ops = []
     for j in range(d):
@@ -84,8 +82,6 @@ def _uniform_flip_weight(d: int, p: float) -> float:
     """The one meaning of the dephasing parameter: every sign flip gets weight p/4,
     so each coherence scales by exactly (1 - p) at any d; the d flips share at
     most unit weight, so p <= 4/d."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     _check_dim(d, "d")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")

@@ -17,6 +17,7 @@ import numpy as np
 from . import datasets, fileio, reports
 from .channels import apply_channel, dephasing_closed_form, uniform_dephasing_channel
 from .dynamics import (
+    STEP_PROBABILITY_BOUND,
     DampingModel,
     TrajectoryConfig,
     damping_lindblad,
@@ -25,7 +26,7 @@ from .dynamics import (
     run_trajectories,
 )
 from .experiment import SlitStatePrep, anti_correlated_block, apply_sagnac, prepare_state
-from .film import compile_film, effective_channel
+from .film import DEFAULT_FRAMES, compile_film, effective_channel
 from .optics import MAX_SCAN_POINTS, MIN_SCAN_SAMPLES, OpticalGeometry, fit_p, synthesize_scan, x_pi
 from .qcore import DensityMatrix, PureBipartiteState, i_concurrence, trace_distance
 
@@ -109,7 +110,7 @@ def _cmd_trajectories(args) -> int:
     psi0[args.initial_level] = 1.0
     dt = args.dt
     if dt is None:
-        dt = 1e-2 / (2.0 * model.gamma * model.dim) if model.gamma > 0 else args.t or 1.0
+        dt = STEP_PROBABILITY_BOUND / (2.0 * model.gamma * model.dim) if model.gamma > 0 else args.t or 1.0
     cfg = TrajectoryConfig(args.n, dt, args.seed)
     rho = run_trajectories(model, psi0, args.t, cfg)
     pops = ", ".join(f"{v:.4f}" for v in np.real(np.diag(rho.matrix)))
@@ -204,7 +205,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("film", help="compile a dephasing parameter into a frame schedule")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--n-frames", type=int, default=32)
+    p.add_argument("--n-frames", type=int, default=DEFAULT_FRAMES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_film)
 

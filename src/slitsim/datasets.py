@@ -1,6 +1,7 @@
 """Packaged measurement data for the damping-series reproduction report."""
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from .experiment import CountsTable
@@ -26,6 +27,11 @@ def damping_counts_text() -> str:
     return resources.files("slitsim").joinpath("data/damping_counts.txt").read_text()
 
 
+@functools.cache  # the tables are frozen and their counts read-only, so they can be shared
+def _damping_tables() -> tuple[CountsTable, ...]:
+    return tuple(parse_counts_text(damping_counts_text()))
+
+
 def damping_counts() -> list[CountsTable]:
-    """The nine measured count tables, ordered by gamma_t."""
-    return parse_counts_text(damping_counts_text())
+    """The nine measured count tables, ordered by gamma_t; the file is parsed once per process."""
+    return list(_damping_tables())

@@ -102,8 +102,6 @@ class DampingModel:
     gamma: float
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
         _check_dim(self.dim)
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
@@ -144,8 +142,7 @@ def _step_count(t: float, dt: float) -> int:
 
 def annihilation(dim: int) -> ComplexOperator:
     """Truncated lowering operator: a|n> = sqrt(n)|n-1>."""
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
+    _check_dim(dim)
     a = np.zeros((dim, dim), dtype=np.complex128)
     for n in range(1, dim):
         a[n - 1, n] = np.sqrt(n)
@@ -156,13 +153,6 @@ def damping_lindblad(model: DampingModel) -> LindbladModel:
     """Lindblad form of the damping generator: H = 0, operator a at rate 2*gamma."""
     zero = ComplexOperator(np.zeros((model.dim, model.dim)))
     return LindbladModel(model.dim, zero, ((annihilation(model.dim), 2.0 * model.gamma),))
-
-
-def lindblad_rhs(model: LindbladModel, rho: DensityMatrix) -> ComplexOperator:
-    """d(rho)/dt: commutator part plus dissipators; traceless and Hermitian."""
-    if model.dim != rho.dim:
-        raise ValueError("dimension mismatch")
-    return ComplexOperator(_generator(model)(rho.matrix))
 
 
 def _generator(model: LindbladModel):
@@ -214,34 +204,6 @@ def integrate_master(model: LindbladModel, rho0: DensityMatrix, t: float, dt: fl
     r = (np.linalg.matrix_power(p, steps) @ rho0.matrix.reshape(n)).reshape(model.dim, model.dim)
     # re-validation doubles as the dt-too-large signal
     return DensityMatrix(0.5 * (r + r.conj().T))
-
-
-def no_jump_step(model: DampingModel, psi: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-    """One jump-free interval: level n shrinks by exp(-n gamma dt), then renormalize.
-
-    Returns the renormalized state together with the survival probability
-    (the squared norm before renormalization).
-    """
-    v = np.asarray(psi, dtype=np.complex128)
-    if v.shape != (model.dim,):
-        raise ValueError(f"expected a {model.dim}-vector")
-    scaled = v * _jump_free_factors(model.dim, model.gamma * dt)
-    survival = float(np.sum(np.abs(scaled) ** 2))
-    if survival == 0.0:
-        raise ValueError("no-jump evolution annihilated the state; dt inconsistent")
-    return scaled / np.sqrt(survival), survival
-
-
-def jump_step(model: DampingModel, psi: np.ndarray) -> np.ndarray:
-    """One quantum jump: apply the lowering operator and renormalize."""
-    v = np.asarray(psi, dtype=np.complex128)
-    if v.shape != (model.dim,):
-        raise ValueError(f"expected a {model.dim}-vector")
-    lowered = annihilation(model.dim).matrix @ v
-    norm = np.linalg.norm(lowered)
-    if norm == 0.0:
-        raise ValueError("jump impossible: state has no support above the ground level")
-    return lowered / norm
 
 
 def _class_states(v0: np.ndarray, gamma_h: float, jumps: int, calm: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Optical-experiment models: slit-state preparation, the Sagnac amplitude
 filter realizing jump-free damping at any d and in either rate convention,
-coincidence counting, and state and concurrence estimation from count tables.
+and state and concurrence estimation from coincidence-count tables.
 
 Slit labels run over {-(d-1)/2, ..., (d-1)/2} on the bench; internally
 everything uses oscillator levels {0, ..., d-1} (level = label + (d-1)/2),
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AMPLITUDE, _jump_free_factors
-from .qcore import DensityMatrix, PureBipartiteState, _check_dim, _i_concurrence
+from .qcore import DensityMatrix, PureBipartiteState, _check_dim, _i_concurrence, _normalized
 from .rng import derive_rng
 
 
@@ -28,8 +28,6 @@ class SlitStatePrep:
     amplitudes: tuple[float, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"need at least two slits, got {self.d}")
         _check_dim(self.d, "d")
         amps = tuple(float(a) for a in self.amplitudes)
         if len(amps) != self.d:
@@ -50,10 +48,7 @@ class SlitStatePrep:
 
 def prepare_state(prep: SlitStatePrep) -> PureBipartiteState:
     """Place the normalized weights on anti-correlated pairs |l>_s |d-1-l>_i."""
-    amps = np.asarray(prep.amplitudes, dtype=float)
-    # an exact power-of-two scale keeps the squares in the norm from overflowing or underflowing
-    amps = np.ldexp(amps, -np.frexp(amps.max())[1])
-    amps = amps / np.linalg.norm(amps)
+    amps = _normalized(np.asarray(prep.amplitudes, dtype=float))
     c = np.zeros((prep.d, prep.d), dtype=np.complex128)
     for level, a in enumerate(amps):
         c[level, prep.d - 1 - level] = a
@@ -93,10 +88,9 @@ def apply_sagnac(
     if psi.dim_s != psi.dim_i:
         raise ValueError("expected equal signal and idler dimensions")
     scaled = psi.amplitudes * _jump_free_factors(psi.dim_s, gamma_t, convention)[:, None]
-    norm = np.linalg.norm(scaled)
-    if norm == 0.0:
+    if not scaled.any():
         raise ValueError("evolution annihilated the state")
-    return PureBipartiteState(scaled / norm), float(np.sum(np.abs(scaled) ** 2))
+    return PureBipartiteState(_normalized(scaled)), float(np.sum(np.abs(scaled) ** 2))
 
 
 @dataclass(frozen=True)
@@ -126,16 +120,6 @@ class CountsTable:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-def simulate_counts(psi: PureBipartiteState, total_pairs: int, seed: int) -> CountsTable:
-    """Multinomial coincidence counts over the joint detection probabilities."""
-    if total_pairs < 1:
-        raise ValueError("total_pairs must be positive")
-    probs = np.abs(psi.amplitudes.ravel()) ** 2
-    probs = probs / probs.sum()
-    draws = derive_rng(seed).multinomial(total_pairs, probs)
-    return CountsTable(draws.reshape(psi.amplitudes.shape))
 
 
 def reconstruct_state(table: CountsTable) -> PureBipartiteState:

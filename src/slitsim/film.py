@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channels import WeightedKrausSet, _uniform_flip_weight, dephasing_kraus
+from .qcore import _check_dim
 
 DEFAULT_FRAMES = 32
 # a film stores one index per frame and formats to one line per frame
@@ -45,8 +46,7 @@ class FilmSchedule:
     frames: tuple[int, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
+        _check_dim(self.d, "d")
         if not 1 <= self.n_frames <= MAX_FRAMES:
             raise ValueError(f"n_frames must lie in [1, {MAX_FRAMES}], got {self.n_frames}")
         frames = tuple(map(int, self.frames))

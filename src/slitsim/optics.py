@@ -167,11 +167,13 @@ class PatternScan:
         return float(self.positions.max() - self.positions.min())
 
 
-def _scan_axes(scan: PatternScan):
-    """Map a scan onto (x_i, x_s) arrays for the pattern model."""
-    if scan.fixed_arm == "signal":
-        return scan.positions, scan.fixed_position
-    return scan.fixed_position, scan.positions
+def _scan_axes(fixed_arm: str, fixed_position, positions):
+    """Map a scan along one arm, the other arm's detector fixed, onto (x_i, x_s)."""
+    if fixed_arm == "signal":
+        return positions, fixed_position
+    if fixed_arm == "idler":
+        return fixed_position, positions
+    raise ValueError(f"fixed_arm must be 'signal' or 'idler', got {fixed_arm!r}")
 
 
 def synthesize_scan(
@@ -192,12 +194,7 @@ def synthesize_scan(
     if not (math.isfinite(peak_counts) and peak_counts > 0):
         raise ValueError(f"peak_counts must be finite and positive, got {peak_counts}")
     positions = np.asarray(positions, dtype=float)
-    if fixed_arm == "signal":
-        mean = pattern_intensity(geom, rho0, p, positions, fixed_position)
-    elif fixed_arm == "idler":
-        mean = pattern_intensity(geom, rho0, p, fixed_position, positions)
-    else:
-        raise ValueError(f"fixed_arm must be 'signal' or 'idler', got {fixed_arm!r}")
+    mean = pattern_intensity(geom, rho0, p, *_scan_axes(fixed_arm, fixed_position, positions))
     top = mean.max()
     if top <= 0:
         raise ValueError("pattern vanishes over the requested positions")
@@ -246,7 +243,7 @@ def fit_p(scan: PatternScan, geom: OpticalGeometry, rho0: DensityMatrix) -> FitR
         raise ValueError(
             f"scan spans {scan.span():.4g} mm, below one fringe period {period:.4g} mm"
         )
-    x_i, x_s = _scan_axes(scan)
+    x_i, x_s = _scan_axes(scan.fixed_arm, scan.fixed_position, scan.positions)
     env, fringe = _envelope_and_fringe(geom, rho0, x_i, x_s)
     if np.max(np.abs(env * fringe)) <= 1e-12 * max(np.max(np.abs(env)), 1e-300):
         raise DegenerateScanError("pattern model carries no fringe term; p is unidentifiable")

@@ -24,8 +24,21 @@ MAX_DIM = 16
 
 
 def _check_dim(d: int, name: str = "dim") -> None:
+    """The one slit-state and oscillator dimension rule, 2 <= d <= MAX_DIM."""
+    if d < 2:
+        raise ValueError(f"{name} must be at least 2, got {d}")
     if d > MAX_DIM:
         raise ValueError(f"{name} must be at most MAX_DIM = {MAX_DIM}, got {d}")
+
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """v / ||v|| for a non-zero float64 or complex128 array of any finite scale: v is first
+    scaled by the exact power of two that brings its largest real or imaginary part into
+    [1/2, 1), so the squares in the norm cannot overflow or underflow, and the bits of
+    v / ||v|| are kept wherever they would not have."""
+    parts = np.ascontiguousarray(v).view(np.float64)
+    v = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(v.dtype)
+    return v / np.linalg.norm(v)
 
 
 def _frozen_complex(entries, name: str) -> np.ndarray:
@@ -115,23 +128,6 @@ class PureBipartiteState:
     @property
     def dim_i(self) -> int:
         return self.amplitudes.shape[1]
-
-    def joint_density(self) -> DensityMatrix:
-        """Density matrix of the full pair in the product basis |l>|m>."""
-        return DensityMatrix.from_vector(self.amplitudes.ravel())
-
-    def reduced_signal(self) -> DensityMatrix:
-        c = self.amplitudes
-        return DensityMatrix(c @ c.conj().T)
-
-    def reduced_idler(self) -> DensityMatrix:
-        c = self.amplitudes
-        return DensityMatrix(c.T @ c.conj())
-
-
-def tensor(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
-    """Kronecker product, dim = dim_a * dim_b."""
-    return ComplexOperator(np.kron(a.matrix, b.matrix))
 
 
 def _i_concurrence(c: np.ndarray) -> np.ndarray:

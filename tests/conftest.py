@@ -9,6 +9,11 @@ from slitsim import dynamics
 from slitsim.qcore import DensityMatrix, PureBipartiteState
 
 
+def joint_density(psi: PureBipartiteState) -> DensityMatrix:
+    """Density matrix of the full pair in the product basis |l>|m>."""
+    return DensityMatrix.from_vector(psi.amplitudes.ravel())
+
+
 def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
     """Reduced density matrix of one subsystem of a bipartite state.
 
@@ -96,3 +101,32 @@ def rk4_step_loop(model: dynamics.LindbladModel, rho0: np.ndarray, t: float, ste
         x = r + (h / 2.0) * gen(x)
         r = r + h * gen(x)
     return 0.5 * (r + r.conj().T)
+
+
+def no_jump_step(model: dynamics.DampingModel, psi: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+    """One jump-free interval of the step rule (Plenio & Knight, RMP 70, 101 (1998)):
+    level n shrinks by exp(-n gamma dt), then renormalize.
+
+    Returns the renormalized state together with the survival probability
+    (the squared norm before renormalization).
+    """
+    v = np.asarray(psi, dtype=np.complex128)
+    if v.shape != (model.dim,):
+        raise ValueError(f"expected a {model.dim}-vector")
+    scaled = v * dynamics._jump_free_factors(model.dim, model.gamma * dt)
+    survival = float(np.sum(np.abs(scaled) ** 2))
+    if survival == 0.0:
+        raise ValueError("no-jump evolution annihilated the state; dt inconsistent")
+    return scaled / np.sqrt(survival), survival
+
+
+def jump_step(model: dynamics.DampingModel, psi: np.ndarray) -> np.ndarray:
+    """One quantum jump of the step rule: apply the lowering operator and renormalize."""
+    v = np.asarray(psi, dtype=np.complex128)
+    if v.shape != (model.dim,):
+        raise ValueError(f"expected a {model.dim}-vector")
+    lowered = dynamics.annihilation(model.dim).matrix @ v
+    norm = np.linalg.norm(lowered)
+    if norm == 0.0:
+        raise ValueError("jump impossible: state has no support above the ground level")
+    return lowered / norm

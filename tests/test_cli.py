@@ -289,6 +289,20 @@ def test_damp_at_overflowing_gamma_t_keeps_only_level_zero(tmp_path, capsys, d, 
     assert evolved[0, d - 1] == 1.0 and np.count_nonzero(evolved) == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_damp_keeps_a_state_whose_squared_norm_underflows(tmp_path, capsys):
+    # exp(-600) ~ 2.6e-261 scales the only amplitude; its square underflows, the amplitude does not
+    state, out = tmp_path / "state.txt", tmp_path / "evolved.txt"
+    state.write_text("kind pure\ndims 3 3\n2 0 1.0 0.0\n")
+    assert run("damp", "--state", state, "--gamma-t", 300, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "survival probability: 0.000000" in captured.out
+    # the same amplitudes, up to the rounding of complex division by the norm
+    evolved = parse_state(out.read_text()).amplitudes
+    assert np.max(np.abs(evolved - parse_state(state.read_text()).amplitudes)) <= 2.0**-52
+
+
 @pytest.mark.parametrize("convention", ["amplitude", "population"])
 def test_damp_filters_a_general_pair_state(tmp_path, capsys, convention):
     # any d x d pair state, not only the anti-diagonal ones prepare writes

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import damping_kraus, random_density, random_pure, rk4_step_loop
+from conftest import damping_kraus, jump_step, no_jump_step, random_density, random_pure, rk4_step_loop
 from slitsim import dynamics
 from slitsim.dynamics import (
     DampingModel,
@@ -12,9 +12,6 @@ from slitsim.dynamics import (
     annihilation,
     damping_lindblad,
     integrate_master,
-    jump_step,
-    lindblad_rhs,
-    no_jump_step,
     resolve_convention,
     run_trajectories,
 )
@@ -54,14 +51,14 @@ def test_commutator_on_untruncated_block():
 def test_lindblad_rhs_steady_state_is_stationary():
     model = damping_lindblad(DampingModel(3, 0.7))
     ground = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
-    assert np.max(np.abs(lindblad_rhs(model, ground).matrix)) < 1e-14
+    assert np.max(np.abs(dynamics._generator(model)(ground.matrix))) < 1e-14
 
 
 def test_lindblad_rhs_excited_qubit_rates():
     gamma = 0.8
     model = damping_lindblad(DampingModel(2, gamma))
     rho = DensityMatrix(np.diag([0.0, 1.0]))
-    rhs = lindblad_rhs(model, rho).matrix
+    rhs = dynamics._generator(model)(rho.matrix)
     assert rhs[1, 1] == pytest.approx(-2.0 * gamma, abs=1e-12)
     assert rhs[0, 0] == pytest.approx(+2.0 * gamma, abs=1e-12)
 
@@ -76,7 +73,7 @@ def test_lindblad_rhs_traceless_hermitian(seed):
         ComplexOperator(h + h.conj().T),
         ((annihilation(3), 0.5), (ComplexOperator(np.diag([1.0, -1.0, 0.5])), 0.3)),
     )
-    rhs = lindblad_rhs(model, random_density(rng, 3)).matrix
+    rhs = dynamics._generator(model)(random_density(rng, 3).matrix)
     assert abs(np.trace(rhs)) < 1e-12
     assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
 
@@ -109,7 +106,7 @@ def test_lindblad_rhs_matches_the_stagewise_generator(seed):
     rng = np.random.default_rng(seed)
     model = random_lindblad_model(rng, int(rng.integers(2, 7)))
     rho = random_density(rng, model.dim)
-    assert np.max(np.abs(lindblad_rhs(model, rho).matrix - stagewise_rhs(model, rho.matrix))) < 1e-14
+    assert np.max(np.abs(dynamics._generator(model)(rho.matrix) - stagewise_rhs(model, rho.matrix))) < 1e-14
 
 
 def bosonic_damping(rho, gamma_t):
@@ -207,6 +204,17 @@ def test_damping_model_rejects_gamma_that_is_not_a_finite_rate(gamma):
 @pytest.mark.filterwarnings("error")
 def test_models_reject_dimensions_above_the_cap(build, d):
     with pytest.raises(ValueError, match=f"^dim must be at most MAX_DIM = {MAX_DIM}, got {d}$"):
+        build(d)
+
+
+@pytest.mark.parametrize("d", [1, 0])
+@pytest.mark.parametrize("build", [
+    lambda d: DampingModel(d, 1.0),
+    lambda d: LindbladModel(d, ComplexOperator(np.zeros((1, 1))), ()),
+    annihilation,
+], ids=["damping", "lindblad", "annihilation"])
+def test_models_reject_dimensions_below_two(build, d):
+    with pytest.raises(ValueError, match=f"^dim must be at least 2, got {d}$"):
         build(d)
 
 

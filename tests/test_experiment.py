@@ -16,7 +16,6 @@ from slitsim.experiment import (
     populations,
     prepare_state,
     reconstruct_state,
-    simulate_counts,
 )
 from slitsim.qcore import _i_concurrence as i_concurrence_stack
 from slitsim.qcore import MAX_DIM, i_concurrence
@@ -165,32 +164,6 @@ def test_sagnac_success_probability_decreases():
     psi = prepare_state(SlitStatePrep(3, TABLE2_INITIAL_AMPS))
     probs = [apply_sagnac(psi, gt)[1] for gt in np.linspace(0, 3, 13)]
     assert all(b < a for a, b in zip(probs, probs[1:]))
-
-
-def test_simulate_counts_product_state():
-    c = np.zeros((3, 3))
-    c[0, 0] = 1.0
-    from slitsim.qcore import PureBipartiteState
-
-    table = simulate_counts(PureBipartiteState(c), 100, seed=3)
-    assert table.counts[0, 0] == 100
-    assert table.total == 100
-
-
-def test_simulate_counts_multinomial_scale():
-    psi = prepare_state(SlitStatePrep.uniform(3))
-    table = simulate_counts(psi, 3_000_000, seed=11)
-    sigma = np.sqrt(3_000_000 * (1 / 3) * (2 / 3))
-    for level in range(3):
-        assert abs(table.counts[level, 2 - level] - 1_000_000) <= 4 * sigma
-    assert table.total == 3_000_000
-
-
-def test_simulate_counts_deterministic():
-    psi = prepare_state(SlitStatePrep.uniform(3))
-    a = simulate_counts(psi, 1000, seed=5)
-    b = simulate_counts(psi, 1000, seed=5)
-    assert np.array_equal(a.counts, b.counts)
 
 
 def test_reconstruct_single_cell():
@@ -348,7 +321,8 @@ def test_concurrence_uncertainty_needs_two_non_empty_resamples():
 
 def test_reconstruction_converges_with_statistics():
     psi = prepare_state(SlitStatePrep(3, TABLE2_INITIAL_AMPS))
-    table = simulate_counts(psi, 1_000_000, seed=17)
+    probs = np.abs(psi.amplitudes.ravel()) ** 2
+    table = CountsTable(derive_rng(17).multinomial(1_000_000, probs / probs.sum()).reshape(3, 3))
     recon = reconstruct_state(table)
     assert np.max(np.abs(np.abs(psi.amplitudes) - recon.amplitudes)) < 0.01
 
@@ -369,6 +343,13 @@ def test_counts_table_validation():
         CountsTable(np.zeros((3, 3), dtype=int))
     with pytest.raises(ValueError):
         CountsTable(np.array([[1, -2], [0, 0]]))
+
+
+def test_measured_counts_are_parsed_once_and_returned_in_a_new_list():
+    first, second = damping_counts(), damping_counts()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    assert not first[0].counts.flags.writeable
 
 
 def test_measured_reference_is_complete():

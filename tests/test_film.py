@@ -17,6 +17,7 @@ from slitsim.film import (
     effective_channel,
     mask_phases,
 )
+from slitsim.qcore import MAX_DIM
 
 P_GRID = [i / 8 for i in range(9)]
 
@@ -138,6 +139,17 @@ def test_schedule_validation():
         FilmSchedule(4, 3, (0, 1))  # length mismatch
     with pytest.raises(ValueError):
         FilmSchedule(4, 2, (0, 5))  # index out of range
+
+
+@pytest.mark.parametrize("d, message", [
+    (1, "^d must be at least 2, got 1$"),
+    (MAX_DIM + 1, f"^d must be at most MAX_DIM = {MAX_DIM}, got {MAX_DIM + 1}$"),
+])
+def test_schedule_dimension_follows_the_one_dimension_rule(d, message):
+    with pytest.raises(ValueError, match=message):
+        FilmSchedule(d, 1, (d,))
+    with pytest.raises(ValueError, match=message):
+        parse_film(f"d {d}\nn_frames 1\n{d} " + " ".join(["0"] * d) + "\n")
 
 
 # ------------------------------------------------ one meaning of p at every d

@@ -260,6 +260,8 @@ def test_scan_validation():
     short = synthesize_scan(GEOM, RHO0, 0.5, "signal", 0.0, xs, 500.0, seed=3)
     with pytest.raises(ValueError):
         fit_p(short, GEOM, RHO0)
+    with pytest.raises(ValueError, match="^fixed_arm must be 'signal' or 'idler', got 'elsewhere'$"):
+        synthesize_scan(GEOM, RHO0, 0.5, "elsewhere", 0.0, xs, 500.0, seed=3)
 
 
 def test_fit_p_joint_consistency():

@@ -3,69 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partial_trace, purity, random_pure, random_unitary, schmidt_coefficients
+from conftest import joint_density, partial_trace, purity, random_pure, random_unitary, schmidt_coefficients
 from slitsim.qcore import (
     MAX_DIM,
-    ComplexOperator,
     DensityMatrix,
     PureBipartiteState,
     _i_concurrence,
     i_concurrence,
-    identity,
-    tensor,
     trace_distance,
 )
-
-
-def test_tensor_identities():
-    out = tensor(identity(2), identity(3))
-    assert np.array_equal(out.matrix, np.eye(6))
-
-
-def test_tensor_diagonal():
-    a = ComplexOperator(np.diag([1.0, 2.0]))
-    b = ComplexOperator(np.diag([1.0, 0.0]))
-    assert np.array_equal(tensor(a, b).matrix, np.diag([1.0, 0.0, 2.0, 0.0]))
-
-
-def naive_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # independent elementwise expansion of the Kronecker product
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_tensor_matches_elementwise_expansion(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    got = tensor(ComplexOperator(a), ComplexOperator(b)).matrix
-    assert np.allclose(got, naive_kron(a, b), atol=1e-14)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_tensor_acts_factorwise_on_product_vectors(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    w = rng.normal(size=2) + 1j * rng.normal(size=2)
-    lhs = tensor(ComplexOperator(x), identity(2)).matrix @ np.kron(v, w)
-    rhs = np.kron(x @ v, w)
-    assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_partial_trace_product_state():
     c = np.zeros((3, 3))
     c[0, 0] = 1.0
-    rho = PureBipartiteState(c).joint_density()
+    rho = joint_density(PureBipartiteState(c))
     reduced = partial_trace(rho, (3, 3), keep="signal")
     expect = np.zeros((3, 3))
     expect[0, 0] = 1.0
@@ -74,7 +26,7 @@ def test_partial_trace_product_state():
 
 def test_partial_trace_maximally_entangled_qutrit():
     c = np.fliplr(np.eye(3)) / np.sqrt(3)
-    rho = PureBipartiteState(c).joint_density()
+    rho = joint_density(PureBipartiteState(c))
     for keep in ("signal", "idler"):
         reduced = partial_trace(rho, (3, 3), keep=keep)
         assert np.allclose(reduced.matrix, np.eye(3) / 3, atol=1e-14)
@@ -91,7 +43,7 @@ def test_partial_trace_dimension_mismatch():
 def test_partial_trace_purities_agree(seed):
     rng = np.random.default_rng(seed)
     psi = random_pure(rng, 3, 4)
-    rho = psi.joint_density()
+    rho = joint_density(psi)
     ps = purity(partial_trace(rho, (3, 4), keep="signal"))
     pi = purity(partial_trace(rho, (3, 4), keep="idler"))
     assert abs(ps - pi) < 1e-12
@@ -122,7 +74,7 @@ def test_concurrence_extremes():
 def test_concurrence_same_from_either_subsystem(seed):
     rng = np.random.default_rng(seed)
     psi = random_pure(rng, 3, 3)
-    rho = psi.joint_density()
+    rho = joint_density(psi)
     d = 3
     omega = np.sqrt(2 * (d - 1) / d)
     c_s = np.sqrt(max(2 * (1 - purity(partial_trace(rho, (3, 3), "signal"))), 0.0)) / omega
@@ -220,17 +172,3 @@ def test_trace_distance_basics():
     b = DensityMatrix(np.diag([0.0, 1.0]))
     assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_reduced_state_helpers_match_partial_trace(seed):
-    rng = np.random.default_rng(seed)
-    psi = random_pure(rng, 3, 3)
-    rho = psi.joint_density()
-    assert np.allclose(
-        psi.reduced_signal().matrix, partial_trace(rho, (3, 3), "signal").matrix, atol=1e-12
-    )
-    assert np.allclose(
-        psi.reduced_idler().matrix, partial_trace(rho, (3, 3), "idler").matrix, atol=1e-12
-    )

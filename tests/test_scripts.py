@@ -1,8 +1,10 @@
-"""The plotting scripts run with their default arguments and write the pinned bytes."""
+"""The package's outside surface: the names `slitsim` exports, and the plotting
+scripts, which run with their default arguments and write the pinned bytes."""
 import hashlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,20 @@ def test_script_writes_pinned_output(tmp_path, script, outputs):
     assert proc.returncode == 0, proc.stderr
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
     assert digests == outputs
+
+
+def test_package_exports_the_pinned_names():
+    exported = {name for name, value in vars(slitsim).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == {
+        "AMPLITUDE", "POPULATION", "ComplexOperator", "CountsTable", "DampingModel",
+        "DegenerateScanError", "DensityMatrix", "FilmSchedule", "FitResult", "LindbladModel",
+        "NonRepresentableP", "OpticalGeometry", "PatternScan", "PureBipartiteState",
+        "SlitStatePrep", "TrajectoryConfig", "WeightedKrausSet", "annihilation",
+        "anti_correlated_block", "apply_channel", "apply_sagnac", "compile_film",
+        "concurrence_uncertainty", "damping_lindblad", "dephasing_channel",
+        "dephasing_closed_form", "dephasing_kraus", "effective_channel", "fit_p", "fringe_period",
+        "i_concurrence", "identity", "integrate_master", "mask_phases", "pattern_intensity",
+        "populations", "prepare_state", "reconstruct_state", "run_trajectories", "synthesize_scan",
+        "trace_distance", "uniform_dephasing_channel", "x_pi",
+    }
