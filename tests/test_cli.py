@@ -518,6 +518,17 @@ def test_reproduce_table1_with_noise(tmp_path):
     assert all(0.03 <= s <= 0.11 for s in sigmas)
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["--seed", "0"], "2caebe50b56e04b87d40e5892d51cedd9bc679275c29b5c78a0b90e9c61c5670"),
+    (["--noiseless"], "b2d4a95f651d7a45aa24409df19bcfc7e717c3480cb51bf04dcba6a6abdc61fb"),
+], ids=["seed0", "noiseless"])
+def test_reproduce_table1_bytes_are_pinned(tmp_path, capsys, args, digest):
+    report = tmp_path / "report.txt"
+    assert run("reproduce-table1", *args, "--out", report) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_reproduce_table1_deterministic(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
