@@ -7,6 +7,7 @@ populations untouched and scales each coherence rho_ij by (1 - 2 p_i - 2 p_j).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ class WeightedKrausSet:
         return self.operators[0].dim
 
 
-def dephasing_kraus(d: int) -> list[ComplexOperator]:
-    """The d+1 dephasing operators: sign flips K_0..K_{d-1}, then the identity."""
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find the entry of 4
+def dephasing_kraus(d: int) -> tuple[ComplexOperator, ...]:
+    """The d+1 dephasing operators: sign flips K_0..K_{d-1}, then the identity.
+    Built once per d; the tuple and its operators are immutable."""
     _check_dim(d, "d")
     ops = []
     for j in range(d):
@@ -57,7 +60,7 @@ def dephasing_kraus(d: int) -> list[ComplexOperator]:
         diag[j] = -1.0
         ops.append(ComplexOperator(np.diag(diag)))
     ops.append(identity(d))
-    return ops
+    return tuple(ops)
 
 
 def dephasing_channel(d: int, weights) -> WeightedKrausSet:
@@ -75,7 +78,7 @@ def dephasing_channel(d: int, weights) -> WeightedKrausSet:
     if total > 1.0 + WEIGHT_TOL:
         raise ValueError(f"weights sum to {total:.15g} > 1")
     ws.append(max(1.0 - total, 0.0))
-    return WeightedKrausSet(tuple(dephasing_kraus(d)), tuple(ws))
+    return WeightedKrausSet(dephasing_kraus(d), tuple(ws))
 
 
 def _uniform_flip_weight(d: int, p: float) -> float:

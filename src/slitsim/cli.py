@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -133,6 +134,12 @@ def _cmd_pattern(args) -> int:
         raise ValueError(
             f"points must lie in [{MIN_SCAN_SAMPLES}, MAX_SCAN_POINTS = {MAX_SCAN_POINTS}], got {args.points}"
         )
+    for option, value in (("--start-mm", args.start_mm), ("--stop-mm", args.stop_mm)):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
+    if not math.isfinite(args.stop_mm - args.start_mm):  # linspace divides this span
+        raise ValueError(f"the span from --start-mm {args.start_mm:g} to --stop-mm {args.stop_mm:g} "
+                         "overflows")
     positions = np.linspace(args.start_mm, args.stop_mm, args.points)
     scan = synthesize_scan(
         geom, rho0, args.p, args.fixed_arm, fixed, positions,

@@ -97,7 +97,7 @@ def compile_film(d: int, p: float, n_frames: int = DEFAULT_FRAMES) -> FilmSchedu
 def effective_channel(film: FilmSchedule) -> WeightedKrausSet:
     """Time-averaged channel of a schedule: weights are frame fractions."""
     weights = tuple(float(w) for w in film.weight_fractions())
-    return WeightedKrausSet(tuple(dephasing_kraus(film.d)), weights)
+    return WeightedKrausSet(dephasing_kraus(film.d), weights)
 
 
 def mask_phases(film: FilmSchedule, frame_index: int) -> list[float]:

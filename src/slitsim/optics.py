@@ -17,6 +17,7 @@ only through the fringe visibilities, which is what the fit exploits.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -85,23 +86,43 @@ def fringe_period(geom: OpticalGeometry, arm: str = "idler") -> float:
 def _envelope_and_fringe(geom: OpticalGeometry, rho0: DensityMatrix, x_i, x_s):
     """Envelope E and fringe sum G with P = scale * E * (1 + (1-p) G);
     positions whose arguments overflow or are not finite raise ValueError."""
-    k, a, d, f = geom.wave_number, geom.half_slit_width, geom.slit_separation, geom.focal_length
-    b, beta = geom.half_detector_width, geom.beta
     x_i = np.asarray(x_i, dtype=float)
     x_s = np.asarray(x_s, dtype=float)
-    n = np.arange(1, rho0.dim)
+    env, det, phases = _scan_terms(geom, rho0.dim, (x_i.shape, x_i.tobytes()), (x_s.shape, x_s.tobytes()))
+    coherence = np.array([np.trace(rho0.matrix, offset=-m) for m in range(1, rho0.dim)])
+    return env, (phases @ (det * coherence)).real
+
+
+# Scans whose state-independent terms are kept; an entry holds the envelope and the
+# (points, d-1) complex phase matrix, ~16 MB at MAX_SCAN_POINTS and d = 16.
+_SCAN_TERMS_CACHED = 4
+
+
+@functools.lru_cache(maxsize=_SCAN_TERMS_CACHED)
+def _scan_terms(geom: OpticalGeometry, dim: int, x_i: tuple, x_s: tuple):
+    """The read-only terms of the pattern that depend on neither p nor the state:
+    the envelope E, the detector weights det_n and the matrix exp(i n theta).
+    Each position argument is the (shape, bytes) of a float64 array, so a scan
+    repeated exactly reuses its terms."""
+    k, a, d, f = geom.wave_number, geom.half_slit_width, geom.slit_separation, geom.focal_length
+    b, beta = geom.half_detector_width, geom.beta
+    x_i, x_s = (np.frombuffer(buf).reshape(shape) for shape, buf in (x_i, x_s))
+    n = np.arange(1, dim)
     det = _sinc(n * k * d * b / f) * _sinc(n * k * d * b / (f * beta))
-    coherence = np.array([np.trace(rho0.matrix, offset=-m) for m in n])
     with np.errstate(over="ignore", invalid="ignore"):
         env = _sinc(k * a * x_i / f) ** 2 * _sinc(k * a * x_s / (f * beta)) ** 2
         theta = k * d * x_i / f - k * d * x_s / (f * beta)
-        fringe = (np.exp(1j * np.multiply.outer(theta, n)) @ (det * coherence)).real
-        bad = ~np.isfinite(env + fringe)  # E and G are bounded where the arguments are finite
+        phases = np.exp(1j * np.multiply.outer(theta, n))
+    # E and G are bounded where the arguments are finite; a raise caches nothing
+    bad = ~(np.isfinite(env) & np.isfinite(phases).all(axis=-1))
     if bad.any():
         x_i, x_s = np.broadcast_arrays(x_i, x_s)
         raise ValueError(f"pattern arguments are not finite at {int(bad.sum())} of {bad.size} positions, "
                          f"first at x_i = {x_i[bad][0]:.6g} mm, x_s = {x_s[bad][0]:.6g} mm")
-    return env, fringe
+    for term in (env, det, phases):
+        if isinstance(term, np.ndarray):  # a scalar position's envelope is a numpy scalar
+            term.setflags(write=False)
+    return env, det, phases
 
 
 def pattern_intensity(

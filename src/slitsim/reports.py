@@ -44,10 +44,6 @@ def report_scan_positions() -> np.ndarray:
     return np.linspace(-REPORT_SCAN_HALF_SPAN_MM, REPORT_SCAN_HALF_SPAN_MM, REPORT_SCAN_POINTS)
 
 
-def dense_scan_positions() -> np.ndarray:
-    return np.linspace(-DENSE_SCAN_HALF_SPAN_MM, DENSE_SCAN_HALF_SPAN_MM, DENSE_SCAN_POINTS)
-
-
 def dephasing_recovery_report(
     seed: int,
     peak_counts: float = 500.0,

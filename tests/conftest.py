@@ -7,6 +7,7 @@ import numpy as np
 
 from slitsim import dynamics
 from slitsim.qcore import DensityMatrix, PureBipartiteState
+from slitsim.reports import DENSE_SCAN_HALF_SPAN_MM, DENSE_SCAN_POINTS
 
 
 def joint_density(psi: PureBipartiteState) -> DensityMatrix:
@@ -42,6 +43,11 @@ def schmidt_coefficients(psi: PureBipartiteState) -> np.ndarray:
     """Squared singular values of the amplitude matrix, descending."""
     s = np.linalg.svd(psi.amplitudes, compute_uv=False)
     return np.sort(s**2)[::-1]
+
+
+def dense_scan_positions() -> np.ndarray:
+    """The default position grid of the `pattern` command."""
+    return np.linspace(-DENSE_SCAN_HALF_SPAN_MM, DENSE_SCAN_HALF_SPAN_MM, DENSE_SCAN_POINTS)
 
 
 def random_density(rng: np.random.Generator, d: int) -> DensityMatrix:

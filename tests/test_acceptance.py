@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import jump_free_oracle, random_density, random_pure, random_schmidt_qutrit
+from conftest import (
+    dense_scan_positions,
+    jump_free_oracle,
+    random_density,
+    random_pure,
+    random_schmidt_qutrit,
+)
 from slitsim.channels import apply_channel, dephasing_channel, dephasing_closed_form
 from slitsim.datasets import MEASURED_CONCURRENCE, damping_counts
 from slitsim.dynamics import (
@@ -27,7 +33,7 @@ from slitsim.experiment import (
 from slitsim.film import compile_film, effective_channel
 from slitsim.optics import OpticalGeometry, fit_p, synthesize_scan, x_pi
 from slitsim.qcore import DensityMatrix, PureBipartiteState, i_concurrence, trace_distance
-from slitsim.reports import P_GRID, dense_scan_positions
+from slitsim.reports import P_GRID
 from slitsim.rng import child_seed, derive_rng
 
 GEOM = OpticalGeometry()

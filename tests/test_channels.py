@@ -42,6 +42,14 @@ def test_dephasing_kraus_entries():
         assert np.allclose(op.matrix.conj().T @ op.matrix, np.eye(4), atol=1e-15)
 
 
+def test_dephasing_kraus_is_built_once_and_immutable():
+    ops = dephasing_kraus(4)
+    assert isinstance(ops, tuple) and dephasing_kraus(4) is ops
+    for op in ops:
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 2.0
+
+
 def test_dephasing_kraus_rejects_small_dims():
     with pytest.raises(ValueError):
         dephasing_kraus(1)

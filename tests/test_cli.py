@@ -469,6 +469,21 @@ def test_peak_counts_is_named_in_one_error_line(tmp_path, capsys, command, noise
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("span, message", [
+    (["--start-mm", "inf"], "error: --start-mm must be finite, got inf"),
+    (["--start-mm", "nan"], "error: --start-mm must be finite, got nan"),
+    (["--stop-mm=-inf"], "error: --stop-mm must be finite, got -inf"),
+    (["--start-mm=-1e308", "--stop-mm", "1e308"],
+     "error: the span from --start-mm -1e+308 to --stop-mm 1e+308 overflows"),
+])
+def test_pattern_span_is_checked_before_the_grid_is_built(tmp_path, capsys, span, message):
+    out = tmp_path / "scan.txt"
+    assert run("pattern", "--p", 0.5, "--seed", 1, *span, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pattern", "fit-p"])
 def test_far_tail_positions_give_one_error_line(tmp_path, command):
     # positions near 1e306 mm overflow the pattern's phase arguments

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import dense_scan_positions, random_density
 from slitsim import optics
 from slitsim.experiment import SlitStatePrep, anti_correlated_block, prepare_state
 from slitsim.optics import (
@@ -19,7 +19,6 @@ from slitsim.optics import (
     x_pi,
 )
 from slitsim.qcore import DensityMatrix
-from slitsim.reports import dense_scan_positions
 
 GEOM = OpticalGeometry()
 RHO0 = anti_correlated_block(prepare_state(SlitStatePrep.uniform(4)))
@@ -246,6 +245,58 @@ def test_non_finite_pattern_position_is_rejected():
         pattern_intensity(GEOM, RHO0, 0.5, math.nan, 0.0)
     with pytest.raises(ValueError, match=r"1 of 3 positions"):
         pattern_intensity(GEOM, RHO0, 0.5, 0.0, np.array([0.0, math.inf, 0.1]))
+
+
+def test_non_finite_positions_cache_nothing():
+    optics._scan_terms.cache_clear()
+    with pytest.raises(ValueError, match=r"2 of 3 positions, first at x_i = inf mm"):
+        _envelope_and_fringe(GEOM, RHO0, np.array([0.0, math.inf, math.nan]), 0.0)
+    assert optics._scan_terms.cache_info().currsize == 0
+
+
+def test_cached_scan_terms_give_the_uncached_bits(monkeypatch):
+    xs = np.linspace(-0.852, 0.852, 9)
+    states = (RHO0, random_density(np.random.default_rng(21), 4))
+    optics._scan_terms.cache_clear()
+    cached = [_envelope_and_fringe(GEOM, rho, xs, x_pi(GEOM)) for rho in states]
+    info = optics._scan_terms.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    monkeypatch.setattr(optics, "_scan_terms", optics._scan_terms.__wrapped__)
+    for rho, (env, fringe) in zip(states, cached):
+        fresh_env, fresh_fringe = _envelope_and_fringe(GEOM, rho, xs, x_pi(GEOM))
+        assert env.tobytes() == fresh_env.tobytes() and fringe.tobytes() == fresh_fringe.tobytes()
+    assert cached[0][1].tobytes() != cached[1][1].tobytes()
+
+
+def test_cached_scan_terms_are_read_only():
+    xs = np.linspace(-0.5, 0.5, 21)
+    env, fringe = _envelope_and_fringe(GEOM, RHO0, xs, 0.0)
+    cached = optics._scan_terms(GEOM, 4, (xs.shape, xs.tobytes()), ((), np.float64(0.0).tobytes()))
+    assert cached[0] is env
+    for term in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            term[0] = 0.0
+    fringe[0] = 0.0  # the state-dependent fringe is the caller's own array
+
+
+def test_scan_terms_cache_stays_bounded():
+    optics._scan_terms.cache_clear()
+    maxsize = optics._scan_terms.cache_info().maxsize
+    for shift in range(3 * maxsize):
+        _envelope_and_fringe(GEOM, RHO0, np.linspace(-0.5, 0.5, 21) + shift, 0.0)
+        assert optics._scan_terms.cache_info().currsize <= maxsize
+    assert optics._scan_terms.cache_info().currsize == maxsize
+
+
+def test_scalar_positions_give_floats_on_a_cache_hit():
+    optics._scan_terms.cache_clear()
+    for _ in range(2):
+        value = pattern_intensity(GEOM, RHO0, 0.5, 0.1, 0.0)
+        assert type(value) is float
+        env, fringe = _envelope_and_fringe(GEOM, RHO0, 0.1, 0.0)
+        assert np.ndim(env) == 0 and np.ndim(fringe) == 0
+        assert isinstance(env, float) and isinstance(fringe, float)
+    assert optics._scan_terms.cache_info().hits >= 1
 
 
 def test_scan_validation():
