@@ -15,10 +15,7 @@ from .dynamics import (
     AMPLITUDE,
     POPULATION,
     DampingModel,
-    LindbladModel,
     TrajectoryConfig,
-    annihilation,
-    damping_lindblad,
     integrate_master,
     run_trajectories,
 )

@@ -21,7 +21,6 @@ from .dynamics import (
     STEP_PROBABILITY_BOUND,
     DampingModel,
     TrajectoryConfig,
-    damping_lindblad,
     integrate_master,
     resolve_convention,
     run_trajectories,
@@ -118,7 +117,7 @@ def _cmd_trajectories(args) -> int:
     print(f"trajectories: {args.n}, steps dt = {dt:.6g}")
     print(f"populations: [{pops}]")
     if args.compare_master:
-        rho_m = integrate_master(damping_lindblad(model), DensityMatrix.from_vector(psi0), args.t, dt)
+        rho_m = integrate_master(model, DensityMatrix.from_vector(psi0), args.t, dt)
         print(f"trace distance to master solution: {trace_distance(rho, rho_m):.4f}")
     fileio.write_text(args.out, fileio.format_state(rho))
     return 0

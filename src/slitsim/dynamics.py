@@ -1,15 +1,15 @@
 """Open-system time evolution: master equation, trajectories, jump-free factors.
 
-The master equation is integrated by RK4 as one matrix power of the step
-superoperator, which holds d^4 entries, so every model has d <= qcore.MAX_DIM.
-
-The damping generator used throughout is
+The one generator is that of amplitude damping (Nielsen & Chuang 8.3.5;
+Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)),
 
     d(rho)/dt = 2 gamma a rho a+  -  gamma {a+ a, rho},
 
-under which a pure state evolving without any jump has its level-n
-amplitude multiplied by exp(-n gamma t) and the per-step jump probability
-is dp = 2 gamma <a+ a> dt.  Those three pieces are mutually consistent and
+built in closed form as a d^2 x d^2 superoperator and integrated by RK4 as
+one matrix power of the step superoperator, which holds d^4 entries, so
+every model has d <= qcore.MAX_DIM.  Under it a pure state evolving
+without any jump has its level-n amplitude multiplied by exp(-n gamma t)
+and the per-step jump probability is dp = 2 gamma <a+ a> dt.  Those three pieces are mutually consistent and
 are the package default ("amplitude" convention).  Measured population
 series are sometimes quoted against the halved rate where level-n
 *populations* decay as exp(-n gamma t); pass convention="population" to
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ComplexOperator, DensityMatrix, _check_dim
+from .qcore import DensityMatrix, _check_dim
 from .rng import derive_rng
 
 # Per-step jump probability stays below this bound, keeping the first-order
@@ -65,33 +65,10 @@ def _jump_free_factors(dim: int, gamma_t: float, convention: str = AMPLITUDE) ->
     """Amplitude factor exp(-r gamma t l) of each level l after a jump-free evolution."""
     if not (math.isfinite(gamma_t) and gamma_t >= 0):
         raise ValueError(f"gamma_t must be finite and non-negative, got {gamma_t}")
-    with np.errstate(over="ignore"):  # a rate so large it overflows to -inf decays to exactly 0
-        return np.exp(-_amplitude_rate(convention) * gamma_t * np.arange(dim))
-
-
-@dataclass(frozen=True)
-class LindbladModel:
-    """Hamiltonian (pre-divided by hbar) plus Lindblad operators with rates."""
-
-    dim: int
-    hamiltonian: ComplexOperator
-    lindblad_ops: tuple[tuple[ComplexOperator, float], ...]
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        if self.hamiltonian.dim != self.dim:
-            raise ValueError("Hamiltonian dimension mismatch")
-        ops = tuple((op, float(g)) for op, g in self.lindblad_ops)
-        for op, g in ops:
-            if op.dim != self.dim:
-                raise ValueError("Lindblad operator dimension mismatch")
-            if not (math.isfinite(g) and g >= 0):
-                raise ValueError(f"rate must be finite and non-negative, got {g}")
-        object.__setattr__(self, "lindblad_ops", ops)
-
-    @property
-    def max_rate(self) -> float:
-        return max((g for _, g in self.lindblad_ops), default=0.0)
+    # the scalar math.exp, not numpy's SIMD loop, whose last bit depends on the CPU features
+    # numpy dispatches; an argument so large it overflows to -inf decays to exactly 0
+    rate = -_amplitude_rate(convention) * float(gamma_t)
+    return np.array([math.exp(rate * level) for level in range(dim)])
 
 
 @dataclass(frozen=True)
@@ -120,12 +97,11 @@ class TrajectoryConfig:
             raise ValueError("dt must be positive")
 
 
-def _check_step(max_rate: float, dim: int, dt: float):
-    if max_rate * dim * dt > STEP_PROBABILITY_BOUND:
-        raise ValueError(
-            f"step too large: rate*dim*dt = {max_rate * dim * dt:.3g} "
-            f"> {STEP_PROBABILITY_BOUND}"
-        )
+def _check_step(model: DampingModel, dt: float):
+    """The jump rate 2 gamma times the level bound d times dt stays within STEP_PROBABILITY_BOUND."""
+    bound = 2.0 * model.gamma * model.dim * dt
+    if bound > STEP_PROBABILITY_BOUND:
+        raise ValueError(f"step too large: rate*dim*dt = {bound:.3g} > {STEP_PROBABILITY_BOUND}")
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -140,65 +116,44 @@ def _step_count(t: float, dt: float) -> int:
     return max(1, math.ceil(t / dt - 1e-12))
 
 
-def annihilation(dim: int) -> ComplexOperator:
-    """Truncated lowering operator: a|n> = sqrt(n)|n-1>."""
-    _check_dim(dim)
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        a[n - 1, n] = np.sqrt(n)
-    return ComplexOperator(a)
+def _superoperator(model: DampingModel) -> np.ndarray:
+    """The damping generator as the d^2 x d^2 matrix S on row-major vec(rho).
 
-
-def damping_lindblad(model: DampingModel) -> LindbladModel:
-    """Lindblad form of the damping generator: H = 0, operator a at rate 2*gamma."""
-    zero = ComplexOperator(np.zeros((model.dim, model.dim)))
-    return LindbladModel(model.dim, zero, ((annihilation(model.dim), 2.0 * model.gamma),))
-
-
-def _generator(model: LindbladModel):
-    """The Lindblad generator in K form, L(x) = K x + x K+ + sum_c c x c+.
-
-    K = -i H - 1/2 sum g a+ a is the non-Hermitian effective Hamiltonian and
-    c = sqrt(g) a runs over the jump operators; the operators are built once.
+    With c_m = sqrt(2 gamma m) and K_m = -c_m^2 / 2, S maps the basis matrix
+    E_ml to (K_m + K_l) E_ml + c_m c_l E_(m-1)(l-1): the first term is
+    K rho + rho K+ with K = -gamma a+ a, the second the jump 2 gamma a rho a+.
+    Each factor is rounded in that order, c_m as sqrt(2 gamma) * sqrt(m).
     """
-    k = -1j * model.hamiltonian.matrix
-    jumps = []
-    for op, g in model.lindblad_ops:
-        c = math.sqrt(g) * op.matrix
-        c_dag = c.conj().T
-        k = k - 0.5 * (c_dag @ c)
-        jumps.append((c, c_dag))
-    k_dag = k.conj().T
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = k @ x + x @ k_dag
-        for c, c_dag in jumps:
-            out += c @ x @ c_dag
-        return out
-
-    return apply
+    d = model.dim
+    c = math.sqrt(2.0 * model.gamma) * np.sqrt(np.arange(d))
+    k = -0.5 * (c * c)
+    # complex: with a real S the step power rounds differently and the pinned bytes move
+    s = np.diag((k[:, None] + k[None, :]).ravel()).astype(np.complex128)
+    m = np.arange(1, d)
+    # s[(m', l'), (m, l)] as a (d, d, d, d) view: column E_ml gets c_m c_l in row E_(m-1)(l-1)
+    s.reshape(d, d, d, d)[m[:, None] - 1, m - 1, m[:, None], m] = c[1:, None] * c[1:]
+    return s
 
 
-def integrate_master(model: LindbladModel, rho0: DensityMatrix, t: float, dt: float) -> DensityMatrix:
-    """Fixed-step classical 4th-order integration of the master equation.
+def integrate_master(model: DampingModel, rho0: DensityMatrix, t: float, dt: float) -> DensityMatrix:
+    """Fixed-step classical 4th-order integration of the damping master equation.
 
     RK4 as one matrix power of the step superoperator, d <= MAX_DIM.  One
     step is the Horner polynomial r + h L(r + h/2 L(r + h/3 L(r + h/4 L r))),
     which for the constant linear generator L equals the four classical
-    stages.  With S the d^2 x d^2 matrix of L on row-major vec(rho), that
-    step is P = I + hS(I + h/2 S(I + h/3 S(I + h/4 S))), and the result is
-    P^steps vec(rho0).
+    stages.  With S = _superoperator(model), the matrix of L on row-major
+    vec(rho), that step is P = I + hS(I + h/2 S(I + h/3 S(I + h/4 S))), and
+    the result is P^steps vec(rho0).
     """
     steps = _step_count(t, dt)
     if model.dim != rho0.dim:
         raise ValueError("dimension mismatch")
-    _check_step(model.max_rate, model.dim, dt)
+    _check_step(model, dt)
     if t == 0:
         return rho0
     h = t / steps
     n = model.dim * model.dim
-    # row j of L applied to the basis stack is vec(L(E_j)), i.e. column j of S
-    s = _generator(model)(np.eye(n).reshape(n, model.dim, model.dim)).reshape(n, n).T
+    s = _superoperator(model)
     eye = np.eye(n)
     p = eye + h * s @ (eye + (h / 2.0) * s @ (eye + (h / 3.0) * s @ (eye + (h / 4.0) * s)))
     r = (np.linalg.matrix_power(p, steps) @ rho0.matrix.reshape(n)).reshape(model.dim, model.dim)
@@ -285,7 +240,7 @@ def run_trajectories(model: DampingModel, psi0: np.ndarray, t: float, cfg: Traje
         raise ValueError("initial state is zero")
     v0 = v0 / norm
     steps = _step_count(t, cfg.dt)
-    _check_step(2.0 * model.gamma, model.dim, cfg.dt)
+    _check_step(model, cfg.dt)
     if t == 0 or model.gamma == 0:
         return DensityMatrix.from_vector(v0)
 

@@ -35,10 +35,11 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     """v / ||v|| for a non-zero float64 or complex128 array of any finite scale: v is first
     scaled by the exact power of two that brings its largest real or imaginary part into
     [1/2, 1), so the squares in the norm cannot overflow or underflow, and the bits of
-    v / ||v|| are kept wherever they would not have."""
+    v / ||v|| are kept wherever they would not have.  The division runs on the real
+    float64 view: numpy's complex division can leave a lone amplitude at 0.9999999999999999."""
     parts = np.ascontiguousarray(v).view(np.float64)
-    v = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(v.dtype)
-    return v / np.linalg.norm(v)
+    parts = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
+    return (parts / np.linalg.norm(parts)).view(v.dtype)
 
 
 def _frozen_complex(entries, name: str) -> np.ndarray:
@@ -116,7 +117,8 @@ class PureBipartiteState:
         c = _frozen_complex(self.amplitudes, "amplitude matrix")
         if c.ndim != 2 or min(c.shape) < 1:
             raise ValueError(f"amplitude matrix must be 2-d, got shape {c.shape}")
-        total = float(np.sum(np.abs(c) ** 2))
+        with np.errstate(over="ignore"):  # a huge amplitude gives an inf total, rejected below
+            total = float(np.sum(np.abs(c) ** 2))
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized (sum |c|^2 = {total:.12g})")
         object.__setattr__(self, "amplitudes", c)

@@ -16,13 +16,7 @@ from conftest import (
 )
 from slitsim.channels import apply_channel, dephasing_channel, dephasing_closed_form
 from slitsim.datasets import MEASURED_CONCURRENCE, damping_counts
-from slitsim.dynamics import (
-    DampingModel,
-    TrajectoryConfig,
-    damping_lindblad,
-    integrate_master,
-    run_trajectories,
-)
+from slitsim.dynamics import DampingModel, TrajectoryConfig, integrate_master, run_trajectories
 from slitsim.experiment import (
     SlitStatePrep,
     anti_correlated_block,
@@ -170,9 +164,7 @@ def test_criterion_6_trajectories_match_master():
     distances = []
     for gt in (0.5, 1.0, 2.0):
         rho_traj = run_trajectories(model, psi0, gt, TrajectoryConfig(10_000, dt, seed=12345))
-        rho_master = integrate_master(
-            damping_lindblad(model), DensityMatrix.from_vector(psi0), gt, dt
-        )
+        rho_master = integrate_master(model, DensityMatrix.from_vector(psi0), gt, dt)
         distances.append(trace_distance(rho_traj, rho_master))
     ok = all(dist <= 0.02 for dist in distances)
     _finish(6, "10^4 trajectories track the master equation", t0, 30.0, ok,

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -257,18 +259,61 @@ def test_damp_names_gamma_t_that_is_not_finite_and_non_negative(tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: gamma_t must be finite and non-negative, got")
 
 
-@pytest.mark.parametrize("convention, gamma_t, digest", [
+# the jump-free factors come from math.exp and the renormalization divides the real view,
+# so these bytes do not depend on the CPU features numpy dispatches (numpy 2.4.6)
+DAMP_DIGESTS = [
     ("amplitude", 0.7, "a798fda38eed5472d489dff19ba82decc79ef7ff850db7bfcfbbf3635e591222"),
-    ("amplitude", 40, "be149ecce86271c1c2b6d1887c4ffeb7686931d1d8fc1a14db51774b2de37c82"),
-    ("population", 0.7, "ca477d53798e598ab58d423f9eaab90da6aecb70f1f4949430df143319334411"),
-    ("population", 40, "f5dfb02d9b5ad27a0f4a2c7c4e3b1b1131bf93e0f6f040bb17cf35d8e71179e1"),
-])
+    ("amplitude", 40, "61f1d7ae56b7df8192f706b42797a3b6d8a0bd32a15870085e95a3911d570cef"),
+    ("population", 0.7, "a3fca3638d07baa553ebd7b19adb8a7703883a0844a65bb541bf2d80de0ae2d3"),
+    ("population", 40, "399134298c17352984f87a5ddd7552a5b6fc98644c3ea1b688df5f28058acb7e"),
+]
+
+
+def _damp_digest(tmp_path, convention, gamma_t) -> str:
+    state, out = tmp_path / "state.txt", tmp_path / f"evolved-{convention}-{gamma_t}.txt"
+    assert main(["prepare", "--d", "3", "--amps", "0.2771,0.5420,0.7934", "--out", str(state)]) == 0
+    assert main(["damp", "--state", str(state), "--gamma-t", str(gamma_t), "--convention", convention,
+                 "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("convention, gamma_t, digest", DAMP_DIGESTS)
 def test_damp_bytes_are_pinned(tmp_path, convention, gamma_t, digest):
-    state, out = tmp_path / "state.txt", tmp_path / "evolved.txt"
-    run("prepare", "--d", 3, "--amps", "0.2771,0.5420,0.7934", "--out", state)
-    assert run("damp", "--state", state, "--gamma-t", gamma_t, "--convention", convention,
-               "--out", out) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert _damp_digest(tmp_path, convention, gamma_t) == digest
+
+
+def _dispatched_cpu_features() -> list[str]:
+    """The CPU features numpy dispatches to on this machine, or [] where it does not say."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            module = importlib.import_module(name)
+        except ImportError:
+            continue
+        return list(getattr(module, "__cpu_dispatch__", []))
+    return []
+
+
+def test_damp_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # the pinned damp cases rerun in a child interpreter with every dispatched feature disabled
+    features = _dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy names no dispatched CPU features here")
+    src = str(Path(slitsim.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]),
+               NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    env.pop("PYTHONWARNINGS", None)
+    child = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from test_cli import DAMP_DIGESTS, _damp_digest\n"
+        "print(json.dumps([_damp_digest(Path(sys.argv[1]), c, g) for c, g, _ in DAMP_DIGESTS]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-W", "error::RuntimeWarning",
+                           "-c", child, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [digest for _, _, digest in DAMP_DIGESTS]
 
 
 @pytest.mark.filterwarnings("error")
@@ -298,9 +343,9 @@ def test_damp_keeps_a_state_whose_squared_norm_underflows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "survival probability: 0.000000" in captured.out
-    # the same amplitudes, up to the rounding of complex division by the norm
-    evolved = parse_state(out.read_text()).amplitudes
-    assert np.max(np.abs(evolved - parse_state(state.read_text()).amplitudes)) <= 2.0**-52
+    # the renormalization divides the real view, so the lone amplitude is written back as exactly 1.0
+    assert "2 0 1.0 0.0" in out.read_text().splitlines()
+    assert np.array_equal(parse_state(out.read_text()).amplitudes, parse_state(state.read_text()).amplitudes)
 
 
 @pytest.mark.parametrize("convention", ["amplitude", "population"])
@@ -375,6 +420,25 @@ def test_trajectories_reject_unbounded_step_counts(tmp_path, capsys, args, messa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.0", "1e308", "1e-320", "0", "-1"])
+@pytest.mark.parametrize("option", ["--gamma", "--t", "--dt"])
+def test_trajectories_compare_master_edge_values(tmp_path, capsys, option, value):
+    # each option alone at an edge value: a result or one named error, never a warning or a stray file
+    out = tmp_path / "rho.txt"
+    args = {"--gamma": "1", "--t": "0.5", option: value}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("trajectories", *(f"{k}={v}" for k, v in args.items()), "--n", 20, "--seed", 3,
+                   "--compare-master", "--out", out)
+    assert code in (0, 1)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 1:
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+        assert not out.exists()
+    else:
+        assert isinstance(parse_state(out.read_text()), DensityMatrix)
 
 
 def _scan_file(tmp_path) -> Path:

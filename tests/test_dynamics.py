@@ -3,20 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import damping_kraus, jump_step, no_jump_step, random_density, random_pure, rk4_step_loop
-from slitsim import dynamics
-from slitsim.dynamics import (
-    DampingModel,
-    LindbladModel,
-    TrajectoryConfig,
-    annihilation,
-    damping_lindblad,
-    integrate_master,
-    resolve_convention,
-    run_trajectories,
+from conftest import (
+    damping_kraus,
+    jump_step,
+    lowering,
+    no_jump_step,
+    random_density,
+    random_pure,
+    rk4_step_loop,
+    stagewise_rhs,
 )
+from slitsim import dynamics
+from slitsim.dynamics import DampingModel, TrajectoryConfig, integrate_master, resolve_convention, run_trajectories
 from slitsim.experiment import SlitStatePrep, apply_sagnac, prepare_state
-from slitsim.qcore import MAX_DIM, ComplexOperator, DensityMatrix, PureBipartiteState, trace_distance
+from slitsim.qcore import MAX_DIM, DensityMatrix, PureBipartiteState, trace_distance
 from slitsim.rng import derive_rng
 
 
@@ -29,36 +29,20 @@ def anti_diagonal_state(amps) -> PureBipartiteState:
     return PureBipartiteState(c)
 
 
-def test_annihilation_entries():
-    a = annihilation(3).matrix
-    expect = np.zeros((3, 3))
-    expect[0, 1] = 1.0
-    expect[1, 2] = np.sqrt(2)
-    assert np.array_equal(a, expect)
-    assert np.allclose(a.conj().T @ a, np.diag([0.0, 1.0, 2.0]), atol=1e-15)
-    with pytest.raises(ValueError):
-        annihilation(1)
-
-
-def test_commutator_on_untruncated_block():
-    for dim in (3, 5, 8):
-        a = annihilation(dim).matrix
-        comm = a @ a.conj().T - a.conj().T @ a
-        # the commutator equals the identity wherever truncation cannot bite
-        assert np.allclose(np.diag(comm)[: dim - 1], 1.0, atol=1e-12)
+def generator(model: DampingModel):
+    """x -> L(x) through the closed-form superoperator on row-major vec(x)."""
+    s = dynamics._superoperator(model)
+    return lambda x: (s @ x.reshape(-1)).reshape(x.shape)
 
 
 def test_lindblad_rhs_steady_state_is_stationary():
-    model = damping_lindblad(DampingModel(3, 0.7))
     ground = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
-    assert np.max(np.abs(dynamics._generator(model)(ground.matrix))) < 1e-14
+    assert np.max(np.abs(generator(DampingModel(3, 0.7))(ground.matrix))) < 1e-14
 
 
 def test_lindblad_rhs_excited_qubit_rates():
     gamma = 0.8
-    model = damping_lindblad(DampingModel(2, gamma))
-    rho = DensityMatrix(np.diag([0.0, 1.0]))
-    rhs = dynamics._generator(model)(rho.matrix)
+    rhs = generator(DampingModel(2, gamma))(np.diag([0.0, 1.0]))
     assert rhs[1, 1] == pytest.approx(-2.0 * gamma, abs=1e-12)
     assert rhs[0, 0] == pytest.approx(+2.0 * gamma, abs=1e-12)
 
@@ -67,46 +51,28 @@ def test_lindblad_rhs_excited_qubit_rates():
 @settings(max_examples=30, deadline=None)
 def test_lindblad_rhs_traceless_hermitian(seed):
     rng = np.random.default_rng(seed)
-    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    model = LindbladModel(
-        3,
-        ComplexOperator(h + h.conj().T),
-        ((annihilation(3), 0.5), (ComplexOperator(np.diag([1.0, -1.0, 0.5])), 0.3)),
-    )
-    rhs = dynamics._generator(model)(random_density(rng, 3).matrix)
+    d = int(rng.integers(2, 7))
+    rhs = generator(DampingModel(d, rng.uniform(0, 2)))(random_density(rng, d).matrix)
     assert abs(np.trace(rhs)) < 1e-12
     assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
-
-
-def stagewise_rhs(model, rho):
-    """The generator written term by term: -i[H, rho] + sum g (a rho a+ - {a+ a, rho} / 2)."""
-    h = model.hamiltonian.matrix
-    out = -1j * (h @ rho - rho @ h)
-    for op, g in model.lindblad_ops:
-        a = op.matrix
-        a_dag = a.conj().T
-        out = out + g * (a @ rho @ a_dag - 0.5 * (a_dag @ a @ rho + rho @ a_dag @ a))
-    return out
-
-
-def random_lindblad_model(rng, d) -> LindbladModel:
-    """A Hermitian H and two jump operators: a and a random normalized b, at rates in [0, 2)."""
-    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return LindbladModel(
-        d,
-        ComplexOperator(h + h.conj().T),
-        ((annihilation(d), rng.uniform(0, 2)), (ComplexOperator(b / np.linalg.norm(b)), rng.uniform(0, 2))),
-    )
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_lindblad_rhs_matches_the_stagewise_generator(seed):
     rng = np.random.default_rng(seed)
-    model = random_lindblad_model(rng, int(rng.integers(2, 7)))
-    rho = random_density(rng, model.dim)
-    assert np.max(np.abs(dynamics._generator(model)(rho.matrix) - stagewise_rhs(model, rho.matrix))) < 1e-14
+    model = DampingModel(int(rng.integers(2, 7)), rng.uniform(0, 2))
+    rho = random_density(rng, model.dim).matrix
+    assert np.max(np.abs(generator(model)(rho) - stagewise_rhs(model, rho))) < 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+def test_superoperator_equals_the_stagewise_generator_on_the_basis_stack(d):
+    model = DampingModel(d, np.random.default_rng(d).uniform(0, 3))
+    n = d * d
+    # row j of the generator applied to the basis stack is vec(L(E_j)), i.e. column j of S
+    oracle = stagewise_rhs(model, np.eye(n, dtype=complex).reshape(n, d, d)).reshape(n, n).T
+    assert np.array_equal(dynamics._superoperator(model), oracle)
 
 
 def bosonic_damping(rho, gamma_t):
@@ -118,7 +84,7 @@ def bosonic_damping(rho, gamma_t):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, MAX_DIM])
 def test_integrate_master_matches_the_closed_form_damping_channel(d):
     gamma = 0.8
-    model = damping_lindblad(DampingModel(d, gamma))
+    model = DampingModel(d, gamma)
     excited = np.zeros((d, d))
     excited[-1, -1] = 1.0
     mixed = random_density(np.random.default_rng(d), d).matrix
@@ -132,9 +98,9 @@ def test_integrate_master_matches_the_closed_form_damping_channel(d):
 @pytest.mark.parametrize("steps", [1, 2, 301, 1024])
 def test_integrate_master_equals_the_rk4_step_loop(d, steps):
     rng = np.random.default_rng(1000 * d + steps)
-    model = random_lindblad_model(rng, d)
+    model = DampingModel(d, rng.uniform(0, 2))
     rho0 = random_density(rng, d)
-    dt = 0.5 * dynamics.STEP_PROBABILITY_BOUND / (model.max_rate * d)
+    dt = 0.5 * dynamics.STEP_PROBABILITY_BOUND / (2.0 * model.gamma * d)
     t = steps * dt
     assert dynamics._step_count(t, dt) == steps
     rho = integrate_master(model, rho0, t, dt)
@@ -142,14 +108,14 @@ def test_integrate_master_equals_the_rk4_step_loop(d, steps):
 
 
 def test_integrate_master_time_zero_is_input():
-    model = damping_lindblad(DampingModel(3, 1.0))
+    model = DampingModel(3, 1.0)
     rho0 = DensityMatrix(np.diag([0.0, 0.0, 1.0]))
     assert integrate_master(model, rho0, 0.0, 1e-3) is rho0
 
 
 def test_integrate_master_matches_analytic_decay():
     gamma = 1.0
-    model = damping_lindblad(DampingModel(3, gamma))
+    model = DampingModel(3, gamma)
     rho0 = DensityMatrix(np.diag([0.0, 0.0, 1.0]))
     for t in (0.25, 0.5, 1.0):
         rho = integrate_master(model, rho0, t, 1e-3)
@@ -158,7 +124,7 @@ def test_integrate_master_matches_analytic_decay():
 
 def test_integrate_master_step_halving_converges():
     rng = np.random.default_rng(5)
-    model = damping_lindblad(DampingModel(3, 1.0))
+    model = DampingModel(3, 1.0)
     rho0 = random_density(rng, 3)
     coarse = integrate_master(model, rho0, 0.6, 1.5e-3)
     fine = integrate_master(model, rho0, 0.6, 0.75e-3)
@@ -166,7 +132,7 @@ def test_integrate_master_step_halving_converges():
 
 
 def test_integrate_master_rejects_large_steps():
-    model = damping_lindblad(DampingModel(3, 1.0))
+    model = DampingModel(3, 1.0)
     rho0 = DensityMatrix(np.diag([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         integrate_master(model, rho0, 1.0, 0.1)
@@ -178,7 +144,7 @@ def test_integrate_master_rejects_large_steps():
 ])
 @pytest.mark.filterwarnings("error")
 def test_integrate_master_rejects_step_counts_it_cannot_take(t, dt):
-    model = damping_lindblad(DampingModel(3, 1.0))
+    model = DampingModel(3, 1.0)
     with pytest.raises(ValueError, match="must be finite|steps allowed"):
         integrate_master(model, DensityMatrix(np.diag([0.0, 0.0, 1.0])), t, dt)
 
@@ -196,11 +162,7 @@ def test_damping_model_rejects_gamma_that_is_not_a_finite_rate(gamma):
 
 
 @pytest.mark.parametrize("d", [MAX_DIM + 1, 100_000])
-@pytest.mark.parametrize("build", [
-    lambda d: DampingModel(d, 1.0),
-    # the cap is checked before the operators, so they need not match d
-    lambda d: LindbladModel(d, ComplexOperator(np.zeros((3, 3))), ((annihilation(3), 1.0),)),
-], ids=["damping", "lindblad"])
+@pytest.mark.parametrize("build", [lambda d: DampingModel(d, 1.0)], ids=["damping"])
 @pytest.mark.filterwarnings("error")
 def test_models_reject_dimensions_above_the_cap(build, d):
     with pytest.raises(ValueError, match=f"^dim must be at most MAX_DIM = {MAX_DIM}, got {d}$"):
@@ -208,20 +170,10 @@ def test_models_reject_dimensions_above_the_cap(build, d):
 
 
 @pytest.mark.parametrize("d", [1, 0])
-@pytest.mark.parametrize("build", [
-    lambda d: DampingModel(d, 1.0),
-    lambda d: LindbladModel(d, ComplexOperator(np.zeros((1, 1))), ()),
-    annihilation,
-], ids=["damping", "lindblad", "annihilation"])
+@pytest.mark.parametrize("build", [lambda d: DampingModel(d, 1.0)], ids=["damping"])
 def test_models_reject_dimensions_below_two(build, d):
     with pytest.raises(ValueError, match=f"^dim must be at least 2, got {d}$"):
         build(d)
-
-
-@pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
-def test_lindblad_model_rejects_rate_that_is_not_finite_and_non_negative(rate):
-    with pytest.raises(ValueError, match="rate must be finite and non-negative, got"):
-        LindbladModel(3, ComplexOperator(np.zeros((3, 3))), ((annihilation(3), rate),))
 
 
 @pytest.mark.parametrize("gamma_t", [np.nan, np.inf, -1.0])
@@ -291,7 +243,7 @@ def test_trajectories_match_master_equation():
     psi0 = np.array([0.0, 0.0, 1.0], dtype=complex)
     dt = 1e-2 / (2.0 * gamma * 3)
     rho_t = run_trajectories(model, psi0, 0.5, TrajectoryConfig(10_000, dt, seed=12345))
-    rho_m = integrate_master(damping_lindblad(model), DensityMatrix.from_vector(psi0), 0.5, dt)
+    rho_m = integrate_master(model, DensityMatrix.from_vector(psi0), 0.5, dt)
     assert trace_distance(rho_t, rho_m) <= 0.02
 
 
@@ -371,7 +323,7 @@ def test_trajectories_match_stepwise_ensemble():
     h = t / steps
     # a trajectory in the ground state compares its survival, 1, with a padded 0
     u = np.hstack([v2_uniforms(n, dim, cfg.seed), np.zeros((n, 1))])
-    a = annihilation(dim).matrix
+    a = lowering(dim)
     decay = np.exp(-gamma * h * np.arange(dim))
     psi = np.tile(psi0, (n, 1))
     survival, jumps = np.ones(n), np.zeros(n, dtype=int)
@@ -415,7 +367,7 @@ def step_rule_table(model, psi0, t, dt):
     levels = np.arange(model.dim)
     v0 = np.asarray(psi0, dtype=complex)
     max_jumps = int(np.flatnonzero(v0)[-1])
-    a = annihilation(model.dim).matrix
+    a = lowering(model.dim)
     dp = np.zeros((max_jumps, steps))
     for j in range(max_jumps):
         calm = np.arange(steps - j)[:, None]

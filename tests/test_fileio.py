@@ -246,6 +246,15 @@ def test_parsers_reject_non_finite_and_oversized_values(parser, text):
         parser(text)
 
 
+@pytest.mark.filterwarnings("error")
+def test_parse_state_rejects_an_amplitude_whose_square_overflows_without_a_warning():
+    # a document the mutation fuzz drew: one amplitude replaced by 1e308, whose square is inf
+    document = _PARSERS["state"][1].replace("0 2 0.2770955706627042 0.0", "0 2 1e308 0.0")
+    assert "1e308" in document
+    with pytest.raises(ValueError, match=r"^state not normalized \(sum \|c\|\^2 = inf\)$"):
+        parse_state(document)
+
+
 @pytest.mark.parametrize("frame_lines", [
     "2 0 0\n0 0 3.141592653589793\n1 0 3.141592653589793\n2 0 0\n",  # pi at the wrong slit
     "2 3.141592653589793 0\n0 3.141592653589793 0\n1 0 3.141592653589793\n2 0 0\n",  # pi on identity

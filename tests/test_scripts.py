@@ -38,11 +38,11 @@ def test_package_exports_the_pinned_names():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == {
         "AMPLITUDE", "POPULATION", "ComplexOperator", "CountsTable", "DampingModel",
-        "DegenerateScanError", "DensityMatrix", "FilmSchedule", "FitResult", "LindbladModel",
+        "DegenerateScanError", "DensityMatrix", "FilmSchedule", "FitResult",
         "NonRepresentableP", "OpticalGeometry", "PatternScan", "PureBipartiteState",
-        "SlitStatePrep", "TrajectoryConfig", "WeightedKrausSet", "annihilation",
+        "SlitStatePrep", "TrajectoryConfig", "WeightedKrausSet",
         "anti_correlated_block", "apply_channel", "apply_sagnac", "compile_film",
-        "concurrence_uncertainty", "damping_lindblad", "dephasing_channel",
+        "concurrence_uncertainty", "dephasing_channel",
         "dephasing_closed_form", "dephasing_kraus", "effective_channel", "fit_p", "fringe_period",
         "i_concurrence", "identity", "integrate_master", "mask_phases", "pattern_intensity",
         "populations", "prepare_state", "reconstruct_state", "run_trajectories", "synthesize_scan",
