@@ -1,16 +1,9 @@
 """Simulation of dephasing and amplitude-damping dynamics on slit-encoded
-photonic qudit pairs: weighted Kraus channels, frame-schedule films,
+photonic qudit pairs: sign-flip dephasing channels, frame-schedule films,
 quantum-trajectory unraveling, the Sagnac no-jump filter, conditional
 interference patterns, and concurrence estimation from coincidence counts.
 """
-from .channels import (
-    WeightedKrausSet,
-    apply_channel,
-    dephasing_channel,
-    dephasing_closed_form,
-    dephasing_kraus,
-    uniform_dephasing_channel,
-)
+from .channels import DephasingChannel, apply_channel, uniform_dephasing_channel
 from .dynamics import (
     AMPLITUDE,
     POPULATION,
@@ -42,11 +35,9 @@ from .optics import (
     x_pi,
 )
 from .qcore import (
-    ComplexOperator,
     DensityMatrix,
     PureBipartiteState,
     i_concurrence,
-    identity,
     trace_distance,
 )
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channels import WeightedKrausSet, _uniform_flip_weight, dephasing_kraus
+from .channels import DephasingChannel, _uniform_flip_weight
 from .qcore import _check_dim
 
 DEFAULT_FRAMES = 32
@@ -94,10 +94,9 @@ def compile_film(d: int, p: float, n_frames: int = DEFAULT_FRAMES) -> FilmSchedu
     return FilmSchedule(d, n_frames, tuple(frames))
 
 
-def effective_channel(film: FilmSchedule) -> WeightedKrausSet:
-    """Time-averaged channel of a schedule: weights are frame fractions."""
-    weights = tuple(float(w) for w in film.weight_fractions())
-    return WeightedKrausSet(dephasing_kraus(film.d), weights)
+def effective_channel(film: FilmSchedule) -> DephasingChannel:
+    """Time-averaged channel of a schedule: the flip weights are frame fractions."""
+    return DephasingChannel(film.weight_fractions()[:-1])
 
 
 def mask_phases(film: FilmSchedule, frame_index: int) -> list[float]:

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small quantum systems.
 
-States and operators are immutable value objects wrapping numpy arrays;
+States are immutable value objects wrapping numpy arrays;
 every operation is a pure function.  Slit states and oscillator models
 stay small (d <= MAX_DIM = 16), so everything is stored densely in double
 precision.
@@ -48,27 +48,6 @@ def _frozen_complex(entries, name: str) -> np.ndarray:
         raise ValueError(f"{name} contains non-finite entries")
     m.setflags(write=False)
     return m
-
-
-@dataclass(frozen=True)
-class ComplexOperator:
-    """A d x d complex matrix with finite entries."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _frozen_complex(self.matrix, "operator")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def identity(dim: int) -> ComplexOperator:
-    return ComplexOperator(np.eye(dim))
 
 
 @dataclass(frozen=True)

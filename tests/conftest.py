@@ -78,6 +78,26 @@ def random_schmidt_qutrit(rng: np.random.Generator) -> PureBipartiteState:
     return PureBipartiteState(c)
 
 
+def dephasing_kraus(d: int) -> tuple[np.ndarray, ...]:
+    """The d+1 dephasing Kraus operators: sign flips K_0..K_{d-1} (-1 at slit j), then the identity."""
+    return tuple(np.diag(np.where(np.arange(d) == j, -1.0, 1.0)) for j in range(d)) + (np.eye(d),)
+
+
+def kraus_sum(ops, weights, rho: DensityMatrix) -> np.ndarray:
+    """sum_i w_i K_i rho K_i^dagger, one operator at a time."""
+    out = np.zeros_like(rho.matrix)
+    for op, w in zip(ops, weights, strict=True):
+        out = out + w * (op @ rho.matrix @ op.conj().T)
+    return out
+
+
+def dephasing_by_kraus(weights, rho: DensityMatrix) -> np.ndarray:
+    """Oracle for channels.apply_channel: the Kraus sum with flip weights {p_i} and the
+    identity weighted 1 - sum(p_i)."""
+    ws = [float(w) for w in weights]
+    return kraus_sum(dephasing_kraus(rho.dim), ws + [max(1.0 - sum(ws), 0.0)], rho)
+
+
 def damping_kraus(d: int, gamma_t: float, k: int) -> np.ndarray:
     """Kraus operator k of the closed-form damping channel (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)):
     K_k = sum_n sqrt(C(n, k)) e^{-(n-k) gamma t} (1 - e^{-2 gamma t})^{k/2} |n-k><n|."""

@@ -9,12 +9,13 @@ import numpy as np
 
 from conftest import (
     dense_scan_positions,
+    dephasing_by_kraus,
     jump_free_oracle,
     random_density,
     random_pure,
     random_schmidt_qutrit,
 )
-from slitsim.channels import apply_channel, dephasing_channel, dephasing_closed_form
+from slitsim.channels import DephasingChannel, apply_channel
 from slitsim.datasets import MEASURED_CONCURRENCE, damping_counts
 from slitsim.dynamics import DampingModel, TrajectoryConfig, integrate_master, run_trajectories
 from slitsim.experiment import (
@@ -52,9 +53,9 @@ def test_criterion_1_dephasing_law():
         weights = rng.uniform(0.0, 1.0, size=d)
         if weights.sum() > 1.0:
             weights = weights / (weights.sum() * rng.uniform(1.0, 2.0))
-        via_kraus = apply_channel(dephasing_channel(d, weights), rho)
-        via_law = dephasing_closed_form(rho, weights)
-        worst_entry = max(worst_entry, float(np.max(np.abs(via_kraus.matrix - via_law.matrix))))
+        via_kraus = dephasing_by_kraus(weights, rho)
+        via_law = apply_channel(DephasingChannel(weights), rho)
+        worst_entry = max(worst_entry, float(np.max(np.abs(via_kraus - via_law.matrix))))
         worst_diag = max(worst_diag, float(np.max(np.abs(
             np.diag(via_law.matrix) - np.diag(rho.matrix)
         ))))

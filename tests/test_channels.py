@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density
-from slitsim.channels import (
-    WeightedKrausSet,
-    apply_channel,
-    dephasing_channel,
-    dephasing_closed_form,
-    dephasing_kraus,
-    uniform_dephasing_channel,
-)
+from conftest import dephasing_by_kraus, dephasing_kraus, random_density
+from slitsim.channels import DephasingChannel, apply_channel, uniform_dephasing_channel
 from slitsim.film import compile_film
-from slitsim.qcore import MAX_DIM, DensityMatrix, identity
+from slitsim.qcore import MAX_DIM, DensityMatrix
 
 
 def maximally_coherent(d: int) -> DensityMatrix:
@@ -21,52 +14,37 @@ def maximally_coherent(d: int) -> DensityMatrix:
 
 
 @pytest.mark.parametrize("build", [
-    dephasing_kraus,
     lambda d: uniform_dephasing_channel(d, 0.0),
     lambda d: compile_film(d, 0.0),
-], ids=["kraus", "uniform-channel", "film"])
+], ids=["uniform-channel", "film"])
 @pytest.mark.parametrize("d", [MAX_DIM + 1, 10**12])
 @pytest.mark.filterwarnings("error")
 def test_dephasing_rejects_dimensions_above_the_cap(build, d):
     with pytest.raises(ValueError, match=f"^d must be at most MAX_DIM = {MAX_DIM}, got {d}$"):
         build(d)
-    assert len(dephasing_kraus(MAX_DIM)) == MAX_DIM + 1
+    assert uniform_dephasing_channel(MAX_DIM, 0.0).dim == MAX_DIM
 
 
 def test_dephasing_kraus_entries():
     ops = dephasing_kraus(3)
-    assert np.array_equal(ops[1].matrix, np.diag([1.0, -1.0, 1.0]))
+    assert np.array_equal(ops[1], np.diag([1.0, -1.0, 1.0]))
     ops4 = dephasing_kraus(4)
-    assert np.array_equal(ops4[4].matrix, np.eye(4))
+    assert np.array_equal(ops4[4], np.eye(4))
     for op in ops4:
-        assert np.allclose(op.matrix.conj().T @ op.matrix, np.eye(4), atol=1e-15)
-
-
-def test_dephasing_kraus_is_built_once_and_immutable():
-    ops = dephasing_kraus(4)
-    assert isinstance(ops, tuple) and dephasing_kraus(4) is ops
-    for op in ops:
-        with pytest.raises(ValueError, match="read-only"):
-            op.matrix[0, 0] = 2.0
-
-
-def test_dephasing_kraus_rejects_small_dims():
-    with pytest.raises(ValueError):
-        dephasing_kraus(1)
+        assert np.allclose(op.conj().T @ op, np.eye(4), atol=1e-15)
 
 
 def test_channel_completeness():
+    # the implied identity weight makes the Kraus set trace preserving
     for d in range(2, 7):
-        chan = dephasing_channel(d, [0.9 / d] * d)
-        total = sum(
-            w * (op.matrix.conj().T @ op.matrix)
-            for op, w in zip(chan.operators, chan.weights)
-        )
+        chan = DephasingChannel([0.9 / d] * d)
+        weights = [*chan.weights, 1.0 - sum(chan.weights)]
+        total = sum(w * (op.conj().T @ op) for op, w in zip(dephasing_kraus(d), weights))
         assert np.max(np.abs(total - np.eye(d))) < 1e-12
 
 
 def test_zero_weights_is_identity_channel():
-    chan = dephasing_channel(4, [0.0] * 4)
+    chan = DephasingChannel([0.0] * 4)
     rho = maximally_coherent(4)
     assert np.allclose(apply_channel(chan, rho).matrix, rho.matrix, atol=1e-15)
 
@@ -74,7 +52,7 @@ def test_zero_weights_is_identity_channel():
 def test_single_weight_kills_selected_coherences():
     # weights (0.5, 0, 0): rho_01 scaled by (1 - 2*0.5) = 0, rho_12 untouched
     rho = maximally_coherent(3)
-    out = dephasing_closed_form(rho, [0.5, 0.0, 0.0])
+    out = apply_channel(DephasingChannel([0.5, 0.0, 0.0]), rho)
     assert out.matrix[0, 1] == pytest.approx(0.0, abs=1e-15)
     assert out.matrix[1, 2] == pytest.approx(rho.matrix[1, 2], abs=1e-15)
 
@@ -108,9 +86,9 @@ def test_closed_form_matches_kraus_application(d, seed):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, d)
     weights = _valid_weights(rng, d)
-    via_kraus = apply_channel(dephasing_channel(d, weights), rho)
-    via_law = dephasing_closed_form(rho, weights)
-    assert np.max(np.abs(via_kraus.matrix - via_law.matrix)) < 1e-12
+    via_kraus = dephasing_by_kraus(weights, rho)
+    via_law = apply_channel(DephasingChannel(weights), rho)
+    assert np.max(np.abs(via_kraus - via_law.matrix)) < 1e-12
     assert np.max(np.abs(np.diag(via_law.matrix) - np.diag(rho.matrix))) < 1e-12
 
 
@@ -119,7 +97,7 @@ def test_closed_form_matches_kraus_application(d, seed):
 def test_apply_channel_preserves_density_invariants(d, seed):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, d)
-    out = apply_channel(dephasing_channel(d, _valid_weights(rng, d)), rho)
+    out = apply_channel(DephasingChannel(_valid_weights(rng, d)), rho)
     m = out.matrix
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     assert abs(np.trace(m) - 1.0) < 1e-12
@@ -141,26 +119,19 @@ def test_uniform_channels_compose_multiplicatively(p, q, seed):
     assert np.max(np.abs(once.matrix - direct.matrix)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        dephasing_channel(3, [0.5, 0.4, 0.3])  # sums above 1
-    with pytest.raises(ValueError):
-        dephasing_channel(3, [-0.1, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        dephasing_channel(3, [0.1, 0.2])  # wrong length
+    with pytest.raises(ValueError, match=r"^weights sum to 1\.2 > 1$"):
+        DephasingChannel([0.5, 0.4, 0.3])
+    with pytest.raises(ValueError, match="^weights must be non-negative$"):
+        DephasingChannel([-0.1, 0.0, 0.0])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^weights must be finite"):
+            DephasingChannel([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^d must be at least 2, got 1$"):
+        DephasingChannel([0.1])  # d is the number of flip weights
     with pytest.raises(ValueError):
         uniform_dephasing_channel(6, 1.0)  # p/4 weights infeasible at d=6
-
-
-def test_kraus_set_rejects_incomplete_sets():
-    half = identity(2)
-    with pytest.raises(ValueError):
-        WeightedKrausSet((half,), (0.5,))  # weights must sum to 1
-    scaled = 0.5 * np.eye(2)
-    from slitsim.qcore import ComplexOperator
-
-    with pytest.raises(ValueError):
-        WeightedKrausSet((ComplexOperator(scaled),), (1.0,))
 
 
 def test_apply_channel_dimension_mismatch():

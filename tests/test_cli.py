@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,6 +24,88 @@ from slitsim.reports import P_GRID
 
 def run(*args) -> int:
     return main([str(a) for a in args])
+
+
+class Pin(NamedTuple):
+    argv: tuple[str, ...]  # the command line without its --out option
+    stdout: str  # sha256 of what it prints
+    out: str  # sha256 of its --out file
+
+
+STATE = "<the state file of the prepare row>"
+
+# Every pinned output of the CLI, taken with numpy 2.4.6; a deliberate byte change edits its row.
+# test_pinned_bytes_do_not_depend_on_numpy_simd_dispatch reruns the whole table.
+PINNED = {
+    "prepare": Pin(("prepare", "--d", "3", "--amps", "0.2771,0.5420,0.7934"),
+                   "5e31375cccf794c88f7a991d729ea544228ad6c06d6724ff40b9098c538dbea2",
+                   "0556389dcfb17c060e8091e75e3b6d2c4a4560ee717d256b4708be1c8082a1e0"),
+    # the jump-free factors come from math.exp and the renormalization divides the real view
+    "damp-amplitude-0.7": Pin(("damp", "--state", STATE, "--gamma-t", "0.7", "--convention", "amplitude"),
+                              "dd8fe65d394d1b17bf10107886420c426f06a2cafd626a00b8d5275330984e84",
+                              "a798fda38eed5472d489dff19ba82decc79ef7ff850db7bfcfbbf3635e591222"),
+    "damp-amplitude-40": Pin(("damp", "--state", STATE, "--gamma-t", "40", "--convention", "amplitude"),
+                             "ce3b9baabc0aff90dc8a634651d98230a17c94f58fcedbe1f1f8d2a17706b382",
+                             "61f1d7ae56b7df8192f706b42797a3b6d8a0bd32a15870085e95a3911d570cef"),
+    "damp-population-0.7": Pin(("damp", "--state", STATE, "--gamma-t", "0.7", "--convention", "population"),
+                               "aae35a321e37610e44fee1ffd1ffa0de8a340217f1f880ce21c7d3170e8249a5",
+                               "a3fca3638d07baa553ebd7b19adb8a7703883a0844a65bb541bf2d80de0ae2d3"),
+    "damp-population-40": Pin(("damp", "--state", STATE, "--gamma-t", "40", "--convention", "population"),
+                              "da49d79a4c587147ea004528cbaf6412b3953608177a404e9b8bfb8ef1fc70e0",
+                              "399134298c17352984f87a5ddd7552a5b6fc98644c3ea1b688df5f28058acb7e"),
+    # stream contract v2: trajectory k reads row k of one derive_rng(seed) draw
+    "trajectories": Pin(("trajectories", "--dim", "3", "--initial-level", "2", "--gamma", "1.0", "--t", "0.2",
+                         "--n", "300", "--seed", "5"),
+                        "7ab2789cf10b2bacdfb9a4c66ea9ef8baeb119ecbb134b3b981ccfaf2480ee30",
+                        "abada36b3bca327a0eb00e733a3c571c517e62b678ff540d330d6ab43220aadd"),
+    # the criterion-6 setup; stdout carries the 4-digit trace distance to the RK4 master solution
+    **{f"compare-master-{t}": Pin(("trajectories", "--dim", "3", "--initial-level", "2", "--gamma", "1",
+                                   "--n", "10000", "--seed", "0", "--compare-master", "--t", t), stdout, out)
+       for t, stdout, out in [
+           ("0.5", "655f5b1651e23dea6f301a1e894950315efa5c86a26a645a27449c18ce4c2471",
+            "2cb64353e4727f018da87a1785ff2c7398103155cbfb54f2b4fe6d33b2949fb9"),
+           ("1", "3a3755734421cb9103053e1d85494b7a07eea3ded6b9e308412dffdd742834aa",
+            "43e303f72dcdc6681cb2e291efa2c6bba7a74009da42eb22b079342b0a4b81cd"),
+           ("2", "ad4e910887d892bb23d740f09b9bae6ffd83d153f97ac07c50aab275f35d4622",
+            "01ffbfff561bbc73e0be8538fe16b749b13d9a73bb55172dbdd1aadfecfc10fc"),
+       ]},
+    # the reports print what they write
+    **{name: Pin(argv, digest, digest) for name, argv, digest in [
+        ("table1-seed0", ("reproduce-table1", "--seed", "0"),
+         "2caebe50b56e04b87d40e5892d51cedd9bc679275c29b5c78a0b90e9c61c5670"),
+        ("table1-noiseless", ("reproduce-table1", "--noiseless"),
+         "b2d4a95f651d7a45aa24409df19bcfc7e717c3480cb51bf04dcba6a6abdc61fb"),
+        ("table2-seed5-400", ("reproduce-table2", "--seed", "5", "--resamples", "400"),
+         "0c9ef6b85dcfd8d72f85060061b11da19ad271aba72609f8a0a92543551fd4eb"),
+        ("table2-seed0-1000", ("reproduce-table2", "--seed", "0"),
+         "c1eb30c635df13c6f15a306b3699c3fe45d59df20dfe45fa8ee8f0064141a9e7"),
+    ]},
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _pinned_digests(tmp_path: Path, name: str) -> list[str]:
+    """sha256 of the stdout and of the --out file of one PINNED row, run in this process."""
+    argv = PINNED[name].argv
+    state, out = tmp_path / "pinned-state.txt", tmp_path / f"pinned-{name}.txt"
+    if STATE in argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*PINNED["prepare"].argv, "--out", str(state)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main([str(state) if a == STATE else a for a in argv] + ["--out", str(out)]) == 0
+    return [_sha256(stdout.getvalue().encode()), _sha256(out.read_bytes())]
+
+
+def _assert_pinned(tmp_path: Path, name: str) -> None:
+    assert _pinned_digests(tmp_path, name) == [PINNED[name].stdout, PINNED[name].out]
+
+
+def _pinned_rows(prefix: str, id_of):
+    """The PINNED rows whose name starts with prefix, as parameters under their test ids."""
+    return [pytest.param(name, id=id_of(name)) for name in PINNED if name.startswith(prefix)]
 
 
 def test_prepare_uniform(tmp_path, capsys):
@@ -68,13 +153,8 @@ def test_prepare_normalizes_amplitudes_of_any_scale(tmp_path, capsys, amps, conc
     assert isinstance(parse_state(out.read_text()), PureBipartiteState)
 
 
-def test_prepare_bytes_are_pinned(tmp_path, capsys):
-    out = tmp_path / "state.txt"
-    assert run("prepare", "--d", 3, "--amps", "0.2771,0.5420,0.7934", "--out", out) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "0556389dcfb17c060e8091e75e3b6d2c4a4560ee717d256b4708be1c8082a1e0"
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
-        "5e31375cccf794c88f7a991d729ea544228ad6c06d6724ff40b9098c538dbea2"
+def test_prepare_bytes_are_pinned(tmp_path):
+    _assert_pinned(tmp_path, "prepare")
 
 
 def test_prepare_usage_error_exit_code(tmp_path):
@@ -259,27 +339,9 @@ def test_damp_names_gamma_t_that_is_not_finite_and_non_negative(tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: gamma_t must be finite and non-negative, got")
 
 
-# the jump-free factors come from math.exp and the renormalization divides the real view,
-# so these bytes do not depend on the CPU features numpy dispatches (numpy 2.4.6)
-DAMP_DIGESTS = [
-    ("amplitude", 0.7, "a798fda38eed5472d489dff19ba82decc79ef7ff850db7bfcfbbf3635e591222"),
-    ("amplitude", 40, "61f1d7ae56b7df8192f706b42797a3b6d8a0bd32a15870085e95a3911d570cef"),
-    ("population", 0.7, "a3fca3638d07baa553ebd7b19adb8a7703883a0844a65bb541bf2d80de0ae2d3"),
-    ("population", 40, "399134298c17352984f87a5ddd7552a5b6fc98644c3ea1b688df5f28058acb7e"),
-]
-
-
-def _damp_digest(tmp_path, convention, gamma_t) -> str:
-    state, out = tmp_path / "state.txt", tmp_path / f"evolved-{convention}-{gamma_t}.txt"
-    assert main(["prepare", "--d", "3", "--amps", "0.2771,0.5420,0.7934", "--out", str(state)]) == 0
-    assert main(["damp", "--state", str(state), "--gamma-t", str(gamma_t), "--convention", convention,
-                 "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
-
-
-@pytest.mark.parametrize("convention, gamma_t, digest", DAMP_DIGESTS)
-def test_damp_bytes_are_pinned(tmp_path, convention, gamma_t, digest):
-    assert _damp_digest(tmp_path, convention, gamma_t) == digest
+@pytest.mark.parametrize("name", _pinned_rows("damp-", lambda name: f"{name[5:]}-{PINNED[name].out}"))
+def test_damp_bytes_are_pinned(tmp_path, name):
+    _assert_pinned(tmp_path, name)
 
 
 def _dispatched_cpu_features() -> list[str]:
@@ -293,8 +355,8 @@ def _dispatched_cpu_features() -> list[str]:
     return []
 
 
-def test_damp_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
-    # the pinned damp cases rerun in a child interpreter with every dispatched feature disabled
+def test_pinned_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # every PINNED row reruns in a child interpreter with every dispatched feature disabled
     features = _dispatched_cpu_features()
     if not features:
         pytest.skip("numpy names no dispatched CPU features here")
@@ -306,14 +368,15 @@ def test_damp_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     child = (
         "import json, sys\n"
         "from pathlib import Path\n"
-        "from test_cli import DAMP_DIGESTS, _damp_digest\n"
-        "print(json.dumps([_damp_digest(Path(sys.argv[1]), c, g) for c, g, _ in DAMP_DIGESTS]))\n"
+        "from test_cli import PINNED, _pinned_digests\n"
+        "print(json.dumps({name: _pinned_digests(Path(sys.argv[1]), name) for name in PINNED}))\n"
     )
     proc = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-W", "error::RuntimeWarning",
                            "-c", child, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [digest for _, _, digest in DAMP_DIGESTS]
+    expected = {name: [pin.stdout, pin.out] for name, pin in PINNED.items()}
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected
 
 
 @pytest.mark.filterwarnings("error")
@@ -369,39 +432,16 @@ def test_damp_names_unequal_signal_and_idler_dimensions(tmp_path, capsys):
     assert not (tmp_path / "e.txt").exists()
 
 
-def test_trajectories_deterministic_output(tmp_path, capsys):
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
-    printed = []
-    for out in (a, b):
-        assert run("trajectories", "--dim", 3, "--initial-level", 2, "--gamma", 1.0,
-                   "--t", 0.2, "--n", 300, "--seed", 5, "--out", out) == 0
-        printed.append(capsys.readouterr().out)
-    assert a.read_bytes() == b.read_bytes() and printed[0] == printed[1]
-    rho = parse_state(a.read_text())
-    assert isinstance(rho, DensityMatrix)
-    # stream contract v2: trajectory k reads row k of one derive_rng(5) draw
-    assert hashlib.sha256(printed[0].encode()).hexdigest() == (
-        "7ab2789cf10b2bacdfb9a4c66ea9ef8baeb119ecbb134b3b981ccfaf2480ee30")
-    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
-        "abada36b3bca327a0eb00e733a3c571c517e62b678ff540d330d6ab43220aadd")
+def test_trajectories_deterministic_output(tmp_path):
+    for _ in range(2):
+        _assert_pinned(tmp_path, "trajectories")
+    assert isinstance(parse_state((tmp_path / "pinned-trajectories.txt").read_text()), DensityMatrix)
 
 
-@pytest.mark.parametrize("t, stdout_digest, out_digest", [
-    ("0.5", "655f5b1651e23dea6f301a1e894950315efa5c86a26a645a27449c18ce4c2471",
-     "2cb64353e4727f018da87a1785ff2c7398103155cbfb54f2b4fe6d33b2949fb9"),
-    ("1", "3a3755734421cb9103053e1d85494b7a07eea3ded6b9e308412dffdd742834aa",
-     "43e303f72dcdc6681cb2e291efa2c6bba7a74009da42eb22b079342b0a4b81cd"),
-    ("2", "ad4e910887d892bb23d740f09b9bae6ffd83d153f97ac07c50aab275f35d4622",
-     "01ffbfff561bbc73e0be8538fe16b749b13d9a73bb55172dbdd1aadfecfc10fc"),
-])
-def test_trajectories_compare_master_bytes_are_pinned(tmp_path, capsys, t, stdout_digest, out_digest):
-    # the criterion-6 setup; stdout carries the 4-digit trace distance to the RK4 master solution
-    out = tmp_path / "rho.txt"
-    assert run("trajectories", "--dim", 3, "--initial-level", 2, "--gamma", 1, "--n", 10000,
-               "--seed", 0, "--compare-master", "--t", t, "--out", out) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+@pytest.mark.parametrize("name", _pinned_rows("compare-master-", lambda name: "-".join(
+    (name.removeprefix("compare-master-"), PINNED[name].stdout, PINNED[name].out))))
+def test_trajectories_compare_master_bytes_are_pinned(tmp_path, name):
+    _assert_pinned(tmp_path, name)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -435,7 +475,10 @@ def test_trajectories_compare_master_edge_values(tmp_path, capsys, option, value
     assert code in (0, 1)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 1:
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error:")
+        if option == "--gamma":  # the default step derives from gamma, so an error names gamma
+            assert "gamma" in err
         assert not out.exists()
     else:
         assert isinstance(parse_state(out.read_text()), DensityMatrix)
@@ -597,15 +640,9 @@ def test_reproduce_table1_with_noise(tmp_path):
     assert all(0.03 <= s <= 0.11 for s in sigmas)
 
 
-@pytest.mark.parametrize("args, digest", [
-    (["--seed", "0"], "2caebe50b56e04b87d40e5892d51cedd9bc679275c29b5c78a0b90e9c61c5670"),
-    (["--noiseless"], "b2d4a95f651d7a45aa24409df19bcfc7e717c3480cb51bf04dcba6a6abdc61fb"),
-], ids=["seed0", "noiseless"])
-def test_reproduce_table1_bytes_are_pinned(tmp_path, capsys, args, digest):
-    report = tmp_path / "report.txt"
-    assert run("reproduce-table1", *args, "--out", report) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+@pytest.mark.parametrize("name", _pinned_rows("table1-", lambda name: name.removeprefix("table1-")))
+def test_reproduce_table1_bytes_are_pinned(tmp_path, name):
+    _assert_pinned(tmp_path, name)
 
 
 def test_reproduce_table1_deterministic(tmp_path):
@@ -648,15 +685,9 @@ def test_reproduce_table2_rejects_counts_beyond_int64(tmp_path, capsys, rows):
     assert not (tmp_path / "r.txt").exists()
 
 
-@pytest.mark.parametrize("args, digest", [
-    (("--seed", 5, "--resamples", 400), "0c9ef6b85dcfd8d72f85060061b11da19ad271aba72609f8a0a92543551fd4eb"),
-    (("--seed", 0), "c1eb30c635df13c6f15a306b3699c3fe45d59df20dfe45fa8ee8f0064141a9e7"),
-], ids=["seed5-400", "seed0-1000"])
-def test_reproduce_table2_bytes_are_pinned(tmp_path, capsys, args, digest):
-    report = tmp_path / "report.txt"
-    assert run("reproduce-table2", *args, "--out", report) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+@pytest.mark.parametrize("name", _pinned_rows("table2-", lambda name: name.removeprefix("table2-")))
+def test_reproduce_table2_bytes_are_pinned(tmp_path, name):
+    _assert_pinned(tmp_path, name)
 
 
 @pytest.mark.filterwarnings("error")

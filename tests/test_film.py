@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density
-from slitsim.channels import apply_channel, dephasing_channel, uniform_dephasing_channel
+from conftest import dephasing_by_kraus, dephasing_kraus, random_density
+from slitsim.channels import DephasingChannel, apply_channel, uniform_dephasing_channel
 from slitsim.experiment import SlitStatePrep, anti_correlated_block, prepare_state
 from slitsim.fileio import parse_film
 from slitsim.film import (
@@ -56,7 +56,7 @@ def test_compile_rejects_p_one_when_frames_do_not_divide():
 def test_effective_channel_weights():
     film = compile_film(4, 0.5, 32)
     chan = effective_channel(film)
-    assert chan.weights == (0.125, 0.125, 0.125, 0.125, 0.5)
+    assert chan.weights == (0.125, 0.125, 0.125, 0.125)
 
     rho = anti_correlated_block(prepare_state(SlitStatePrep.uniform(4)))
     out = apply_channel(chan, rho)
@@ -78,7 +78,7 @@ def test_round_trip_weights_are_exact():
         assert fractions[:4] == [per_op] * 4
         assert fractions[4] == 1 - 4 * per_op
         # equals the directly constructed channel
-        direct = dephasing_channel(4, [float(per_op)] * 4)
+        direct = DephasingChannel([float(per_op)] * 4)
         assert effective_channel(film).weights == direct.weights
 
 
@@ -127,7 +127,7 @@ def test_mask_phases_reproduce_operators():
     for idx in range(film.n_frames):
         phases = mask_phases(film, idx)
         realized = np.diag([complex(np.cos(p), np.sin(p)) for p in phases])
-        target = effective_channel(film).operators[film.frames[idx]].matrix
+        target = dephasing_kraus(film.d)[film.frames[idx]]
         assert np.allclose(realized, target, atol=1e-15)
         assert np.array_equal(realized.real, target.real)
 
@@ -170,10 +170,10 @@ def test_film_channel_is_the_uniform_dephasing_channel(d, n_frames):
     off = ~np.eye(d, dtype=bool)
     for p in _grid(d, n_frames):
         film_chan = effective_channel(compile_film(d, p, n_frames))
-        chan = uniform_dephasing_channel(d, p)
+        assert film_chan == uniform_dephasing_channel(d, p)
         for rho in rhos:
             got = apply_channel(film_chan, rho).matrix
-            assert np.max(np.abs(got - apply_channel(chan, rho).matrix)) <= 1e-15
+            assert np.max(np.abs(got - dephasing_by_kraus(film_chan.weights, rho))) <= 1e-15
             assert np.allclose(got[off], (1.0 - p) * rho.matrix[off], rtol=0, atol=1e-15)
 
 
@@ -181,7 +181,7 @@ def test_film_flip_weight_is_p_over_four_off_d4():
     # d = 3, p = 0.375: 3 of 32 frames per flip, coherences scaled by 0.625
     film = compile_film(3, 0.375, 32)
     assert film.operator_counts() == [3, 3, 3, 23]
-    assert effective_channel(film).weights[:3] == (0.09375,) * 3
+    assert effective_channel(film).weights == (0.09375,) * 3
 
 
 def test_compile_rejects_p_above_four_over_d():

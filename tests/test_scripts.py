@@ -37,14 +37,13 @@ def test_package_exports_the_pinned_names():
     exported = {name for name, value in vars(slitsim).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == {
-        "AMPLITUDE", "POPULATION", "ComplexOperator", "CountsTable", "DampingModel",
-        "DegenerateScanError", "DensityMatrix", "FilmSchedule", "FitResult",
+        "AMPLITUDE", "POPULATION", "CountsTable", "DampingModel", "DegenerateScanError",
+        "DensityMatrix", "DephasingChannel", "FilmSchedule", "FitResult",
         "NonRepresentableP", "OpticalGeometry", "PatternScan", "PureBipartiteState",
-        "SlitStatePrep", "TrajectoryConfig", "WeightedKrausSet",
+        "SlitStatePrep", "TrajectoryConfig",
         "anti_correlated_block", "apply_channel", "apply_sagnac", "compile_film",
-        "concurrence_uncertainty", "dephasing_channel",
-        "dephasing_closed_form", "dephasing_kraus", "effective_channel", "fit_p", "fringe_period",
-        "i_concurrence", "identity", "integrate_master", "mask_phases", "pattern_intensity",
+        "concurrence_uncertainty", "effective_channel", "fit_p", "fringe_period",
+        "i_concurrence", "integrate_master", "mask_phases", "pattern_intensity",
         "populations", "prepare_state", "reconstruct_state", "run_trajectories", "synthesize_scan",
         "trace_distance", "uniform_dephasing_channel", "x_pi",
     }
