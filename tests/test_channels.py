@@ -25,6 +25,16 @@ def test_dephasing_rejects_dimensions_above_the_cap(build, d):
     assert uniform_dephasing_channel(MAX_DIM, 0.0).dim == MAX_DIM
 
 
+def test_dephasing_kraus_rejects_small_dims():
+    for d in (0, 1):
+        with pytest.raises(ValueError, match=f"^d must be at least 2, got {d}$"):
+            uniform_dephasing_channel(d, 0.0)
+        with pytest.raises(ValueError, match=f"^d must be at least 2, got {d}$"):
+            DephasingChannel([0.0] * d)
+        with pytest.raises(ValueError, match=f"^d must be at least 2, got {d}$"):
+            compile_film(d, 0.0)
+
+
 def test_dephasing_kraus_entries():
     ops = dephasing_kraus(3)
     assert np.array_equal(ops[1], np.diag([1.0, -1.0, 1.0]))
