@@ -12,12 +12,14 @@ import argparse
 import functools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import datasets, fileio, reports
 from .channels import apply_channel, uniform_dephasing_channel
 from .dynamics import (
+    MAX_STEPS,
     STEP_PROBABILITY_BOUND,
     DampingModel,
     TrajectoryConfig,
@@ -31,6 +33,10 @@ from .optics import MAX_SCAN_POINTS, MIN_SCAN_SAMPLES, OpticalGeometry, fit_p, s
 from .qcore import DensityMatrix, PureBipartiteState, i_concurrence, trace_distance
 
 
+# What a command returns to main: exit code, stdout text, --out document (None: no --out).
+_Output = tuple[int, str, str | None]
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to the validation exit code."""
 
@@ -39,17 +45,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_pair_density(path: str | None, d: int) -> DensityMatrix:
+def _load_pair_density(path: str | None, d: int | None = None) -> DensityMatrix:
     """Pair-basis density from a state file, or the uniform d-slit default."""
     if path is None:
         return anti_correlated_block(prepare_state(SlitStatePrep.uniform(d)))
-    state = fileio.parse_state(fileio.read_text(path))
+    state = fileio.parse_state(Path(path).read_text())
     if isinstance(state, PureBipartiteState):
         return anti_correlated_block(state)
     return state
 
 
-def _cmd_prepare(args) -> int:
+def _noise_seed(args) -> int:
+    """The --seed of a command that may run --noiseless, where no seed is needed."""
+    if not args.noiseless and args.seed is None:
+        raise ValueError("--seed is required unless --noiseless is given")
+    return 0 if args.seed is None else args.seed
+
+
+def _cmd_prepare(args) -> _Output:
     if args.uniform:
         prep = SlitStatePrep.uniform(args.d)
     elif args.amps:
@@ -58,46 +71,40 @@ def _cmd_prepare(args) -> int:
     else:
         raise ValueError("provide --amps or --uniform")
     psi = prepare_state(prep)
-    print(f"concurrence: {i_concurrence(psi):.4f}")
-    fileio.write_text(args.out, fileio.format_state(psi))
-    return 0
+    return 0, f"concurrence: {i_concurrence(psi):.4f}\n", fileio.format_state(psi)
 
 
-def _cmd_dephase(args) -> int:
-    state = fileio.parse_state(fileio.read_text(args.state))
-    rho = anti_correlated_block(state) if isinstance(state, PureBipartiteState) else state
+def _cmd_dephase(args) -> _Output:
+    rho = _load_pair_density(args.state)
     out = apply_channel(uniform_dephasing_channel(rho.dim, args.p), rho)
     off = ~np.eye(rho.dim, dtype=bool)
     expected = (1.0 - args.p) * rho.matrix[off]
     dev = float(np.max(np.abs(out.matrix[off] - expected))) if off.any() else 0.0
-    print(f"off-diagonal scaling: (1 - p) = {1.0 - args.p:.6g}, max deviation {dev:.3e}")
-    fileio.write_text(args.out, fileio.format_state(out))
-    return 0
+    text = f"off-diagonal scaling: (1 - p) = {1.0 - args.p:.6g}, max deviation {dev:.3e}\n"
+    return 0, text, fileio.format_state(out)
 
 
-def _cmd_film(args) -> int:
+def _cmd_film(args) -> _Output:
     film = compile_film(args.d, args.p, args.n_frames)
     *flips, identity = map(float, film.weight_fractions())
     weights = ", ".join(f"{w:.6g}" for w in flips)
-    print(f"frames: {film.n_frames}, operator weights: [{weights}], identity weight: {identity:.6g}")
-    fileio.write_text(args.out, fileio.format_film(film))
-    return 0
+    text = f"frames: {film.n_frames}, operator weights: [{weights}], identity weight: {identity:.6g}\n"
+    return 0, text, fileio.format_film(film)
 
 
-def _cmd_damp(args) -> int:
+def _cmd_damp(args) -> _Output:
     convention = resolve_convention(args.convention)
-    state = fileio.parse_state(fileio.read_text(args.state))
+    state = fileio.parse_state(Path(args.state).read_text())
     if not isinstance(state, PureBipartiteState):
         raise ValueError("damp expects a pure bipartite state file")
     evolved, survival = apply_sagnac(state, args.gamma_t, convention)
-    print(f"convention: {convention}")
-    print(f"concurrence: {i_concurrence(evolved):.4f}")
-    print(f"survival probability: {survival:.6f}")
-    fileio.write_text(args.out, fileio.format_state(evolved))
-    return 0
+    text = (f"convention: {convention}\n"
+            f"concurrence: {i_concurrence(evolved):.4f}\n"
+            f"survival probability: {survival:.6f}\n")
+    return 0, text, fileio.format_state(evolved)
 
 
-def _cmd_trajectories(args) -> int:
+def _cmd_trajectories(args) -> _Output:
     model = DampingModel(args.dim, args.gamma)
     if not 0 <= args.initial_level < args.dim:
         raise ValueError("initial level outside the truncated space")
@@ -109,25 +116,26 @@ def _cmd_trajectories(args) -> int:
         if not 0.0 < dt < math.inf:  # 2 gamma dim overflowed or is subnormal
             raise ValueError(f"the default step {STEP_PROBABILITY_BOUND:g} / (2 gamma dim) is not finite "
                              f"and positive at gamma = {model.gamma:g}; give --dt")
+        if math.isfinite(args.t) and args.t > MAX_STEPS * dt:
+            raise ValueError(f"t = {args.t:g} at the default step {STEP_PROBABILITY_BOUND:g} / (2 gamma dim) "
+                             f"= {dt:.3g} for gamma = {model.gamma:g} exceeds the {MAX_STEPS} steps allowed; "
+                             "give --dt")
     elif dt is None:
         dt = args.t or 1.0
     cfg = TrajectoryConfig(args.n, dt, args.seed)
     rho = run_trajectories(model, psi0, args.t, cfg)
     pops = ", ".join(f"{v:.4f}" for v in np.real(np.diag(rho.matrix)))
-    print(f"trajectories: {args.n}, steps dt = {dt:.6g}")
-    print(f"populations: [{pops}]")
+    text = f"trajectories: {args.n}, steps dt = {dt:.6g}\npopulations: [{pops}]\n"
     if args.compare_master:
         rho_m = integrate_master(model, DensityMatrix.from_vector(psi0), args.t, dt)
-        print(f"trace distance to master solution: {trace_distance(rho, rho_m):.4f}")
-    fileio.write_text(args.out, fileio.format_state(rho))
-    return 0
+        text += f"trace distance to master solution: {trace_distance(rho, rho_m):.4f}\n"
+    return 0, text, fileio.format_state(rho)
 
 
-def _cmd_pattern(args) -> int:
+def _cmd_pattern(args) -> _Output:
     geom = OpticalGeometry()
     rho0 = _load_pair_density(args.state, args.d)
-    if not args.noiseless and args.seed is None:
-        raise ValueError("--seed is required unless --noiseless is given")
+    seed = _noise_seed(args)
     fixed = x_pi(geom) if args.at_xpi else args.fixed_position_mm
     if not MIN_SCAN_SAMPLES <= args.points <= MAX_SCAN_POINTS:
         raise ValueError(
@@ -140,54 +148,38 @@ def _cmd_pattern(args) -> int:
         raise ValueError(f"the span from --start-mm {args.start_mm:g} to --stop-mm {args.stop_mm:g} "
                          "overflows")
     positions = np.linspace(args.start_mm, args.stop_mm, args.points)
-    scan = synthesize_scan(
-        geom, rho0, args.p, args.fixed_arm, fixed, positions,
-        args.peak_counts, 0 if args.seed is None else args.seed,
-        noiseless=args.noiseless,
-    )
-    print(f"scan: {args.points} points in [{args.start_mm}, {args.stop_mm}] mm, "
-          f"fixed {args.fixed_arm} at {fixed:.4f} mm")
-    fileio.write_text(args.out, fileio.format_scan(scan, geom))
-    return 0
+    scan = synthesize_scan(geom, rho0, args.p, args.fixed_arm, fixed, positions,
+                           args.peak_counts, seed, noiseless=args.noiseless)
+    text = (f"scan: {args.points} points in [{args.start_mm}, {args.stop_mm}] mm, "
+            f"fixed {args.fixed_arm} at {fixed:.4f} mm\n")
+    return 0, text, fileio.format_scan(scan, geom)
 
 
-def _cmd_fit_p(args) -> int:
-    scan, geom = fileio.parse_scan(fileio.read_text(args.scan))
+def _cmd_fit_p(args) -> _Output:
+    scan, geom = fileio.parse_scan(Path(args.scan).read_text())
     rho0 = _load_pair_density(args.state, args.d)
     result = fit_p(scan, geom, rho0)
-    print(f"p_hat: {result.p_hat:.6f}")
-    print(f"sigma_p: {result.sigma_p:.6f}")
-    print(f"scale: {result.scale_hat:.6g}")
+    text = f"p_hat: {result.p_hat:.6f}\nsigma_p: {result.sigma_p:.6f}\nscale: {result.scale_hat:.6g}\n"
     if scan.p_true is not None:
         error = round(result.p_hat - scan.p_true, 6) + 0.0  # + 0.0 turns -0.0 into +0.0
-        print(f"p_true: {scan.p_true:.6f} (error {error:+.6f})")
-    return 0
+        text += f"p_true: {scan.p_true:.6f} (error {error:+.6f})\n"
+    return 0, text, None
 
 
-def _cmd_reproduce_table1(args) -> int:
-    if not args.noiseless and args.seed is None:
-        raise ValueError("--seed is required unless --noiseless is given")
+def _cmd_reproduce_table1(args) -> _Output:
     text, all_pass = reports.dephasing_recovery_report(
-        0 if args.seed is None else args.seed,
-        peak_counts=args.peak_counts,
-        noiseless=args.noiseless,
+        _noise_seed(args), peak_counts=args.peak_counts, noiseless=args.noiseless
     )
-    fileio.write_text(args.out, text)
-    print(text, end="")
-    return 0 if all_pass else 2
+    return (0 if all_pass else 2), text, text
 
 
-def _cmd_reproduce_table2(args) -> int:
+def _cmd_reproduce_table2(args) -> _Output:
     if args.counts is None:
         tables = datasets.damping_counts()
     else:
-        tables = fileio.parse_counts_text(fileio.read_text(args.counts))
-    text, all_ok = reports.damping_series_report(
-        tables, seed=args.seed, n_resamples=args.resamples
-    )
-    fileio.write_text(args.out, text)
-    print(text, end="")
-    return 0 if all_ok else 2
+        tables = fileio.parse_counts_text(Path(args.counts).read_text())
+    text, all_ok = reports.damping_series_report(tables, seed=args.seed, n_resamples=args.resamples)
+    return (0 if all_ok else 2), text, text
 
 
 @functools.cache  # one parser per process; each parse_args returns a fresh Namespace
@@ -278,8 +270,12 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     """Run one command line (default ``sys.argv[1:]``) and return its exit code.
 
-    In-process callers may call it repeatedly: the parser is built on the
-    first call and reused, and each call parses into a fresh namespace.
+    Commands return an ``_Output`` and do no I/O; this is the one place
+    that writes --out, first, and then prints.  An error while computing
+    or writing prints one ``error:`` line to stderr, nothing to stdout,
+    and returns 1.  In-process callers may call it repeatedly: the parser
+    is built on the first call and reused, and each call parses into a
+    fresh namespace.
     """
     parser = _build_parser()
     try:
@@ -287,10 +283,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, text, document = args.func(args)
+        if document is not None:
+            Path(args.out).write_text(document)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(text, end="")
+    return code
 
 
 if __name__ == "__main__":

@@ -6,8 +6,6 @@ byte-stable.  Comment lines start with '#' and blank lines are ignored.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .experiment import CountsTable
@@ -220,14 +218,3 @@ def parse_scan(text: str) -> tuple[PatternScan, OpticalGeometry]:
         p_true=p_true,
     )
     return scan, geom
-
-
-# ------------------------------------------------------------------- on disk
-
-def write_text(path: str | Path, content: str) -> None:
-    """Write a fully built document in one call."""
-    Path(path).write_text(content)
-
-
-def read_text(path: str | Path) -> str:
-    return Path(path).read_text()

@@ -1,6 +1,7 @@
 """Shared random-object builders and oracles for the test suite."""
 from __future__ import annotations
 
+import importlib
 import math
 from math import comb
 
@@ -169,3 +170,14 @@ def jump_step(model: dynamics.DampingModel, psi: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("jump impossible: state has no support above the ground level")
     return lowered / norm
+
+
+def dispatched_cpu_features() -> list[str]:
+    """The CPU features numpy dispatches to on this machine, or [] where it does not say."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            module = importlib.import_module(name)
+        except ImportError:
+            continue
+        return list(getattr(module, "__cpu_dispatch__", []))
+    return []

@@ -1,6 +1,5 @@
 import contextlib
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 import slitsim
-from conftest import jump_free_oracle, random_pure
+from conftest import dispatched_cpu_features, jump_free_oracle, random_pure
 from slitsim.cli import _build_parser, main
 from slitsim.fileio import format_scan, format_state, parse_film, parse_scan, parse_state
 from slitsim.optics import OpticalGeometry, PatternScan
@@ -344,20 +343,9 @@ def test_damp_bytes_are_pinned(tmp_path, name):
     _assert_pinned(tmp_path, name)
 
 
-def _dispatched_cpu_features() -> list[str]:
-    """The CPU features numpy dispatches to on this machine, or [] where it does not say."""
-    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        try:
-            module = importlib.import_module(name)
-        except ImportError:
-            continue
-        return list(getattr(module, "__cpu_dispatch__", []))
-    return []
-
-
 def test_pinned_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     # every PINNED row reruns in a child interpreter with every dispatched feature disabled
-    features = _dispatched_cpu_features()
+    features = dispatched_cpu_features()
     if not features:
         pytest.skip("numpy names no dispatched CPU features here")
     src = str(Path(slitsim.__file__).resolve().parents[1])
@@ -452,7 +440,8 @@ def test_trajectories_compare_master_bytes_are_pinned(tmp_path, name):
     (("--t", "1", "--gamma", "nan"), "gamma must be finite and non-negative, got nan"),
     (("--t", "0.01", "--dim", "17"), "dim must be at most MAX_DIM = 16, got 17"),
     (("--t", "0.01", "--dim", "100000"), "dim must be at most MAX_DIM = 16, got 100000"),
-], ids=["t-inf", "t-nan", "t-1e12", "dt-1e-300", "gamma-nan", "dim-17", "dim-1e5"])
+    (("--t", "0.5", "--gamma", "1e300"), "gamma"),  # no --dt: the default step derives from gamma
+], ids=["t-inf", "t-nan", "t-1e12", "dt-1e-300", "gamma-nan", "dim-17", "dim-1e5", "gamma-1e300"])
 @pytest.mark.filterwarnings("error")
 def test_trajectories_reject_unbounded_step_counts(tmp_path, capsys, args, message):
     out = tmp_path / "rho.txt"
@@ -482,6 +471,33 @@ def test_trajectories_compare_master_edge_values(tmp_path, capsys, option, value
         assert not out.exists()
     else:
         assert isinstance(parse_state(out.read_text()), DensityMatrix)
+
+
+# every command that takes --out, with arguments under which it succeeds
+OUT_COMMANDS = {
+    "prepare": ("prepare", "--d", "3", "--uniform"),
+    "dephase": ("dephase", "--state", STATE, "--p", "0.5"),
+    "film": ("film", "--d", "4", "--p", "0.125"),
+    "damp": ("damp", "--state", STATE, "--gamma-t", "0.5"),
+    "trajectories": ("trajectories", "--t", "0.1", "--n", "10", "--seed", "1"),
+    "pattern": ("pattern", "--p", "0.5", "--noiseless", "--points", "9"),
+    "reproduce-table1": ("reproduce-table1", "--noiseless"),
+    "reproduce-table2": ("reproduce-table2", "--seed", "5", "--resamples", "2"),
+}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_that_cannot_be_written_prints_only_one_error_line(tmp_path, capsys, command):
+    # --out is written before anything is printed, so a failed write leaves stdout empty
+    state, out = tmp_path / "state.txt", tmp_path / "missing" / "out.txt"
+    assert run("prepare", "--d", 3, "--uniform", "--out", state) == 0
+    capsys.readouterr()
+    argv = [str(state) if a == STATE else a for a in OUT_COMMANDS[command]]
+    assert run(*argv, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
 
 
 def _scan_file(tmp_path) -> Path:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import slitsim
+from conftest import dispatched_cpu_features
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -25,12 +26,19 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 ])
 def test_script_writes_pinned_output(tmp_path, script, outputs):
     src = str(Path(slitsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script)], cwd=tmp_path,
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
-    assert digests == outputs
+    # the pins hold with numpy's SIMD loops and again with every CPU feature it dispatches disabled
+    runs = {"default": {}}
+    if features := dispatched_cpu_features():
+        runs["no-simd"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}
+    for name, extra in runs.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, **extra)
+        proc = subprocess.run([sys.executable, "-W", "error::ImportWarning", str(SCRIPTS / script)],
+                              cwd=workdir, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests = {out: hashlib.sha256((workdir / out).read_bytes()).hexdigest() for out in outputs}
+        assert digests == outputs, name
 
 
 def test_package_exports_the_pinned_names():
