@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import DensityMatrix, _check_dim
-from .rng import derive_rng
+from .rng import uniform_blocks
 
 # Per-step jump probability stays below this bound, keeping the first-order
 # jump/no-jump split valid.
@@ -34,9 +34,6 @@ STEP_PROBABILITY_BOUND = 1e-2
 # Most fixed steps one integration or trajectory ensemble may take; the step
 # count is checked against it before anything is allocated.
 MAX_STEPS = 2**20
-
-# Largest block of per-trajectory uniforms that run_trajectories holds at once.
-_UNIFORM_BLOCK_BYTES = 2**20
 
 AMPLITUDE = "amplitude"
 POPULATION = "population"
@@ -183,24 +180,19 @@ def _jump_counts(dp: np.ndarray, dim: int, seed: int, n: int) -> np.ndarray:
     """N_j, how many of n trajectories take j jumps under the step rule, j = 0..len(dp).
 
     The step rule jumps at step s with probability dp[j, s] while j jumps
-    have been taken.  Trajectory k reads row k of one
-    derive_rng(seed).random((n, dim - 1)) draw, and its uniform j sets the
-    step of its (j+1)-th jump by inverting the survival: it jumps at the
-    first step s >= start with prod_{start <= s' <= s} (1 - dp[j, s']) < u,
-    start being the step after its j-th jump.  That is the law of drawing
-    a fresh uniform against dp at every step.  The rows are drawn in
-    blocks of whole rows from the one generator, which gives the bytes of
-    a single draw while memory stays bounded in n.
+    have been taken.  Trajectory k reads row k of rng.uniform_blocks(seed,
+    n, dim - 1), and its uniform j sets the step of its (j+1)-th jump by
+    inverting the survival: it jumps at the first step s >= start with
+    prod_{start <= s' <= s} (1 - dp[j, s']) < u, start being the step after
+    its j-th jump.  That is the law of drawing a fresh uniform against dp
+    at every step.
     """
     max_jumps, steps = dp.shape
-    rows = max(1, _UNIFORM_BLOCK_BYTES // (8 * (dim - 1)))
     # survival[j, s] = -log prod_{s' < s} (1 - dp[j, s']), non-decreasing in s
     survival = np.zeros((max_jumps, steps + 1))
     np.cumsum(-np.log1p(-dp), axis=1, out=survival[:, 1:])
-    rng = derive_rng(seed)
     hist = np.zeros(max_jumps + 1, dtype=np.int64)
-    for lo in range(0, n, rows):
-        u = rng.random((min(rows, n - lo), dim - 1))
+    for u in uniform_blocks(seed, n, dim - 1):
         with np.errstate(divide="ignore"):  # u = 0 never jumps
             threshold = -np.log(u[:, :max_jumps])
         live = np.arange(len(u))
@@ -221,10 +213,10 @@ def _jump_counts(dp: np.ndarray, dim: int, seed: int, n: int) -> np.ndarray:
 def run_trajectories(model: DampingModel, psi0: np.ndarray, t: float, cfg: TrajectoryConfig) -> DensityMatrix:
     """Ensemble average of |psi><psi| over stochastic jump/no-jump unravelings.
 
-    Trajectory k reads row k of one derive_rng(cfg.seed) draw of dim - 1
-    uniforms per trajectory, so the result is reproducible and a prefix of
-    the trajectories is independent of how many follow.  The jump decision
-    per step is first order: jump with probability dp = 2 gamma <a+ a> dt.
+    Trajectory k reads row k of rng.uniform_blocks(cfg.seed, n, dim - 1),
+    so the result is reproducible and a prefix of the trajectories is
+    independent of how many follow.  The jump decision per step is first
+    order: jump with probability dp = 2 gamma <a+ a> dt.
 
     With H = 0 and the single jump operator a, a trajectory's state after s
     steps with j jumps is normalize(a^j exp(-gamma h N (s - j)) psi0),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import AMPLITUDE, _jump_free_factors
 from .qcore import DensityMatrix, PureBipartiteState, _check_dim, _i_concurrence, _normalized
-from .rng import derive_rng
+from .rng import resample_blocks
 
 
 @dataclass(frozen=True)
@@ -143,26 +143,19 @@ def populations(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
 # bounds the run time: 10^6 resamples of one table take seconds
 MAX_RESAMPLES = 10**6
 
-# Resamples drawn and evaluated at once; memory stays bounded at the cap.
-_RESAMPLE_BLOCK = 2**14
-
 
 def concurrence_uncertainty(table: CountsTable, *, seed: int, n_resamples: int = 1000) -> float:
     """Parametric-bootstrap standard deviation of the reconstructed concurrence.
 
-    Resample r is slab r of one Poisson(N_ij) draw of shape
-    (n_resamples, *counts.shape) from stream seed (so prefix-stable in
-    n_resamples), and all-zero resamples are dropped.  The draw is made and
-    evaluated in blocks of whole slabs from the one generator, which gives
-    the bytes of a single draw.  Draws of a validated table need no checks
-    of their own, so each block's survivors are one stack.
+    Resample r is slab r of rng.resample_blocks(seed, counts, n_resamples)
+    (so prefix-stable in n_resamples), and all-zero resamples are dropped.
+    Draws of a validated table need no checks of their own, so each
+    block's survivors are one stack.
     """
     if not 2 <= n_resamples <= MAX_RESAMPLES:
         raise ValueError(f"n_resamples must lie in [2, {MAX_RESAMPLES}], got {n_resamples}")
-    rng = derive_rng(seed)
     blocks = []
-    for lo in range(0, n_resamples, _RESAMPLE_BLOCK):
-        draws = rng.poisson(table.counts, size=(min(_RESAMPLE_BLOCK, n_resamples - lo), *table.counts.shape))
+    for draws in resample_blocks(seed, table.counts, n_resamples):
         totals = draws.sum(axis=(1, 2), keepdims=True)
         kept = totals[:, 0, 0] > 0  # the counts are non-negative, so these are the non-empty draws
         blocks.append(_i_concurrence(np.sqrt(draws[kept] / totals[kept])))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qcore import DensityMatrix
-from .rng import derive_rng
+from .rng import scan_counts
 
 MIN_SCAN_SAMPLES = 8
 # Most positions `pattern` synthesizes, checked before its position grid is allocated.
@@ -227,7 +227,7 @@ def synthesize_scan(
     if not noiseless and largest > _POISSON_MEAN_MAX:
         raise ValueError(f"peak_counts {peak_counts} puts the mean counts above "
                          f"{_POISSON_MEAN_MAX}, the largest Poisson mean that can be sampled")
-    counts = mean if noiseless else derive_rng(seed).poisson(mean).astype(float)
+    counts = mean if noiseless else scan_counts(seed, mean).astype(float)
     return PatternScan(fixed_arm, float(fixed_position), positions, counts, p_true=float(p))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -52,7 +53,7 @@ PINNED = {
     "damp-population-40": Pin(("damp", "--state", STATE, "--gamma-t", "40", "--convention", "population"),
                               "da49d79a4c587147ea004528cbaf6412b3953608177a404e9b8bfb8ef1fc70e0",
                               "399134298c17352984f87a5ddd7552a5b6fc98644c3ea1b688df5f28058acb7e"),
-    # stream contract v2: trajectory k reads row k of one derive_rng(seed) draw
+    # stream contract v2: trajectory k reads row k of rng.uniform_blocks(seed, n, d - 1)
     "trajectories": Pin(("trajectories", "--dim", "3", "--initial-level", "2", "--gamma", "1.0", "--t", "0.2",
                          "--n", "300", "--seed", "5"),
                         "7ab2789cf10b2bacdfb9a4c66ea9ef8baeb119ecbb134b3b981ccfaf2480ee30",
@@ -343,15 +344,11 @@ def test_damp_bytes_are_pinned(tmp_path, name):
     _assert_pinned(tmp_path, name)
 
 
-def test_pinned_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
-    # every PINNED row reruns in a child interpreter with every dispatched feature disabled
-    features = dispatched_cpu_features()
-    if not features:
-        pytest.skip("numpy names no dispatched CPU features here")
+def _assert_pinned_in_child(tmp_path: Path, **env_vars: str) -> None:
+    """Rerun every PINNED row in a child interpreter under env_vars and compare its digests."""
     src = str(Path(slitsim.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]),
-               NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]), **env_vars)
     env.pop("PYTHONWARNINGS", None)
     child = (
         "import json, sys\n"
@@ -365,6 +362,20 @@ def test_pinned_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     assert proc.returncode == 0, proc.stderr
     expected = {name: [pin.stdout, pin.out] for name, pin in PINNED.items()}
     assert json.loads(proc.stdout.splitlines()[-1]) == expected
+
+
+def test_pinned_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # every PINNED row reruns in a child interpreter with every dispatched feature disabled
+    features = dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy names no dispatched CPU features here")
+    _assert_pinned_in_child(tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+
+
+@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
+def test_pinned_bytes_do_not_depend_on_the_openblas_kernel(tmp_path, core):
+    # a DYNAMIC_ARCH OpenBLAS picks its kernels from OPENBLAS_CORETYPE; other builds ignore it
+    _assert_pinned_in_child(tmp_path, OPENBLAS_CORETYPE=core)
 
 
 @pytest.mark.filterwarnings("error")
@@ -498,6 +509,62 @@ def test_out_that_cannot_be_written_prints_only_one_error_line(tmp_path, capsys,
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
+
+
+SCAN = "<a noiseless scan file>"
+
+# a command line per subcommand for the edge-value sweep; the seeded commands draw, and n stays at 2
+SWEEP_COMMANDS = {
+    **OUT_COMMANDS,
+    "trajectories": ("trajectories", "--t", "0.1", "--n", "2", "--seed", "1"),
+    "pattern": ("pattern", "--p", "0.5", "--seed", "1", "--points", "9"),
+    "fit-p": ("fit-p", "--scan", SCAN),
+    "reproduce-table1": ("reproduce-table1", "--seed", "0"),
+}
+FLOAT_EDGES = ("nan", "inf", "-inf", "-0.0", "1e308", "1e-320", "0", "-1")
+INT_EDGES = ("0", "-1", "1", "2", str(2**63), str(-2**63))
+
+
+def _numeric_options():
+    """(command, option, edge values, takes --out) for every int and float option of the parser."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        takes_out = any("--out" in a.option_strings for a in parser._actions)
+        for action in parser._actions:
+            edges = {int: INT_EDGES, float: FLOAT_EDGES}.get(action.type)
+            if edges is not None:
+                option = action.option_strings[0]
+                yield pytest.param(command, option, edges, takes_out, id=f"{command}-{option.lstrip('-')}")
+
+
+@pytest.mark.parametrize("command, option, edges, takes_out", list(_numeric_options()))
+def test_numeric_options_at_edge_values(tmp_path, capsys, command, option, edges, takes_out):
+    # each option alone at an edge value: a result or one error line, never a warning or a stray file
+    state, scan = tmp_path / "state.txt", tmp_path / "scan.txt"
+    assert run("prepare", "--d", 3, "--uniform", "--out", state) == 0
+    assert run("pattern", "--p", 0.5, "--noiseless", "--points", 9, "--out", scan) == 0
+    base = [{STATE: str(state), SCAN: str(scan)}.get(a, a) for a in SWEEP_COMMANDS[command]]
+    if option in base:
+        del base[base.index(option):base.index(option) + 2]
+    if (command, option) == ("trajectories", "--n"):  # unbounded on purpose: never a large n
+        edges = [v for v in edges if int(v) <= 2]
+    codes = (0, 1, 2) if command.startswith("reproduce-") else (0, 1)
+    for k, value in enumerate(edges):
+        out = tmp_path / f"out-{k}.txt"
+        argv = [*base, f"{option}={value}", *(["--out", str(out)] if takes_out else [])]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert code in codes, (argv, code)
+        if code == 1:
+            err = captured.err.splitlines()
+            assert len(err) == 1 and "error:" in err[0], (argv, err)
+            assert not out.exists(), argv
+        else:
+            assert captured.err == "", (argv, captured.err)
 
 
 def _scan_file(tmp_path) -> Path:
@@ -722,7 +789,7 @@ def test_reproduce_table2_rejects_resamples_outside_the_cap(tmp_path, capsys, mo
     def no_draw(*key):
         raise AssertionError("drew resamples past the cap")
 
-    monkeypatch.setattr("slitsim.experiment.derive_rng", no_draw)
+    monkeypatch.setattr("slitsim.rng.derive_rng", no_draw)
     assert run("reproduce-table2", "--seed", 5, "--resamples", resamples, "--out", tmp_path / "r.txt") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

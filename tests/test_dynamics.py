@@ -356,7 +356,7 @@ def test_trajectories_do_not_depend_on_the_uniform_block_size(monkeypatch):
     whole = run_trajectories(model, psi0, 0.8, cfg)
     # one trajectory's 3 uniforms per block, then blocks of 3 trajectories
     for block_bytes in (1, 3 * 8 * 3):
-        monkeypatch.setattr(dynamics, "_UNIFORM_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr("slitsim.rng._BLOCK_BYTES", block_bytes)
         assert np.array_equal(run_trajectories(model, psi0, 0.8, cfg).matrix, whole.matrix)
 
 

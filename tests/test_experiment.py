@@ -289,14 +289,15 @@ def test_concurrence_uncertainty_draws_are_prefix_stable(monkeypatch, short):
 def test_concurrence_uncertainty_does_not_depend_on_the_block_size(monkeypatch, block):
     tables = damping_counts() + [CountsTable(np.eye(3, dtype=int))]
     whole = [concurrence_uncertainty(table, seed=5, n_resamples=1000) for table in tables]
-    monkeypatch.setattr(experiment, "_RESAMPLE_BLOCK", block)
+    # one 3 x 3 slab of int64 counts is 72 bytes, so each block holds `block` resamples
+    monkeypatch.setattr("slitsim.rng._BLOCK_BYTES", block * 72)
     assert np.array_equal([concurrence_uncertainty(table, seed=5, n_resamples=1000) for table in tables], whole)
 
 
 @pytest.mark.filterwarnings("error")
 def test_concurrence_uncertainty_counts_survivors_over_all_blocks(monkeypatch):
     # at seed 0 the first resample of this table is non-empty and the second empty
-    monkeypatch.setattr(experiment, "_RESAMPLE_BLOCK", 1)
+    monkeypatch.setattr("slitsim.rng._BLOCK_BYTES", 1)
     table = CountsTable(np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError, match="only 1 of 2 bootstrap resamples are non-empty"):
         concurrence_uncertainty(table, seed=0, n_resamples=2)
@@ -307,7 +308,7 @@ def test_concurrence_uncertainty_caps_resamples_before_drawing(monkeypatch, n_re
     def no_draw(*key):
         raise AssertionError("drew resamples past the cap")
 
-    monkeypatch.setattr(experiment, "derive_rng", no_draw)
+    monkeypatch.setattr("slitsim.rng.derive_rng", no_draw)
     with pytest.raises(ValueError, match=rf"n_resamples must lie in \[2, {experiment.MAX_RESAMPLES}\]"):
         concurrence_uncertainty(table_at(0.0), seed=1, n_resamples=n_resamples)
 
